@@ -18,7 +18,7 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from .dsl import elaborate, parse_system
 from .duality import (NotParametrizable, double_duality_test, ext_module,
-                      kernel_analysis, parametrize, torsion_submodule)
+                      parametrize, torsion_submodule)
 from .field import CaseSplitRequired, DiffmodError, RatFunc, Session
 from .janet import board_text, complete, count_parametric, janet_board
 from .ops import TermOrder
@@ -361,6 +361,8 @@ def cmd_spencer(args):
     payload = {}
     if args.diagram:
         payload["diagram"] = spencer.conformal_diagram_dims(args.n or 5)
+    elif args.family is None or args.n is None:
+        raise DiffmodError("spencer needs --family and --n, or --diagram")
     else:
         table = spencer.classical_dims(args.family, args.n)
         payload.update(table)

@@ -476,10 +476,6 @@ def elaborate(decl):
     return field, matrix, meta
 
 
-def elaborate_source(text):
-    return elaborate(parse_system(text))
-
-
 # ---------------------------------------------------------------------------
 # rendering
 

@@ -69,10 +69,6 @@ class ExtReport:
     provisos: list
     case_context: dict = dc_field(default_factory=dict)
 
-    def nonzero_generator_rows(self):
-        return [g for g, r in zip(range(self.generators.rows), self.residues)
-                if not all(e.is_zero for e in r)]
-
 
 @dataclass
 class ParametrizationResult:

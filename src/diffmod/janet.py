@@ -194,11 +194,17 @@ class InvolutiveBasis:
                 return r, kappa
         return None
 
-    def reduce_row(self, row, budget=None):
-        """Full involutive normal form of an augmented row."""
+    def reduce_row(self, row, budget=None, tail=False):
+        """Full involutive normal form of an augmented row.
+
+        With tail=True the row's own lead term is left alone and only the
+        terms below it are reduced.
+        """
+        skip = row.lead(self.order) if tail else None
         work = row
         while True:
-            terms = [(j, mu) for j, e in enumerate(work.op) for mu in e.terms]
+            terms = [(j, mu) for j, e in enumerate(work.op) for mu in e.terms
+                     if (j, mu) != skip]
             if not terms:
                 break
             terms.sort(key=lambda t: self.order.module_key(t, self.ncols),
@@ -295,11 +301,9 @@ def complete(A, order=None, session=None, track_src=True,
             continue
         pending.append((row, None, f"input {A.row_labels[i]}"))
 
-    done_prolongations = set()  # (row index snapshot counter, var)
-    stamp = 0
+    done_prolongations = set()  # (row index, var) since the last insertion
 
     def insert(h):
-        nonlocal stamp
         col, mu = h.lead(order)
         kept, displaced = [], []
         for b in basis._rows:
@@ -310,7 +314,6 @@ def complete(A, order=None, session=None, track_src=True,
                 kept.append(b)
         basis._rows = kept + [h]
         basis._assign_mult()
-        stamp += 1
         done_prolongations.clear()
         return displaced
 
@@ -346,7 +349,7 @@ def complete(A, order=None, session=None, track_src=True,
         task = None
         for idx, (r, mult) in enumerate(zip(basis._rows, basis._mult)):
             for i in range(1, field.n + 1):
-                if i in mult or (stamp, idx, i) in done_prolongations:
+                if i in mult or (idx, i) in done_prolongations:
                     continue
                 task = (idx, i)
                 break
@@ -355,7 +358,7 @@ def complete(A, order=None, session=None, track_src=True,
         if task is None:
             break
         idx, i = task
-        done_prolongations.add((stamp, idx, i))
+        done_prolongations.add((idx, i))
         r = basis._rows[idx]
         budget.check_order(r.lead_order(order) + 1)
         di = ScalarOp.d(field, i)
@@ -364,41 +367,15 @@ def complete(A, order=None, session=None, track_src=True,
         pending.append((prol, r.lead_order(order) + 1,
                         f"d{i} prolongation"))
 
-    _tail_reduce(basis, budget)
-    return basis
-
-
-def _tail_reduce(basis, budget):
-    """Reduce every non-lead term of each basis row by the others.
-
-    A row can never reduce its own tail (tail terms are smaller than its
-    lead), so the full Janet assignment is safe to use throughout; leads
-    are untouched and one pass per row suffices.
-    """
-    order = basis.order
+    # tail reduction: a row can never reduce its own tail (tail terms are
+    # smaller than its lead), so the full Janet assignment is safe to use
+    # throughout; leads are untouched and one pass per row suffices
     for idx, r in enumerate(list(basis._rows)):
-        lead = r.lead(order)
-        work = r
-        while True:
-            terms = [(j, mu) for j, e in enumerate(work.op) for mu in e.terms
-                     if (j, mu) != lead]
-            terms.sort(key=lambda t: order.module_key(t, basis.ncols),
-                       reverse=True)
-            hit = None
-            for t in terms:
-                found = basis._reducer(t)
-                if found is not None:
-                    hit = (t, found)
-                    break
-            if hit is None:
-                break
-            (j, mu), (b, kappa) = hit
-            c = work.op[j].terms[mu]
-            work = work.sub_multiple(c, kappa, b, basis.field)
-            budget.tick()
+        work = basis.reduce_row(r, budget, tail=True)
         if work is not r:
-            work._lead = lead
+            work._lead = r.lead(order)
             basis._rows[idx] = work
+    return basis
 
 
 def involutive_normal_form(op_row, basis):

@@ -67,15 +67,11 @@ class TermOrder:
     kind: degrevlex | deglex | lex.
     var_seq: variable indices (1-based) from lowest to highest priority;
       permuting it reproduces coordinate permutations such as x2<x3<x1.
-    row_priority: column indices (0-based) from highest to lowest priority,
-      breaking ties between equal monomials in different components.
-    position_over_term: compare the component before the monomial.
+    Equal monomials in different components are ordered by column index.
     """
 
     kind: str = "degrevlex"
     var_seq: tuple = None
-    row_priority: tuple = None
-    position_over_term: bool = False
 
     def seq(self, n):
         if self.var_seq is None:
@@ -95,14 +91,10 @@ class TermOrder:
         raise ValueError(f"unknown term order kind {self.kind!r}")
 
     def col_key(self, col, ncols):
-        if self.row_priority is not None:
-            return -self.row_priority.index(col)
         return -col
 
     def module_key(self, term, ncols):
         col, mu = term
-        if self.position_over_term:
-            return (self.col_key(col, ncols), self.mono_key(mu))
         return (self.mono_key(mu), self.col_key(col, ncols))
 
 

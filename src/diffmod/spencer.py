@@ -1,14 +1,22 @@
 """Symbol spaces, prolongations and Spencer delta-cohomology dimensions.
 
-Everything is finite linear algebra over exact rationals: a symbol is a
-subspace of S_q T* (x) E cut out by linear equations, its prolongations
-shift those equations up in symmetric degree, and the delta complex
+Everything is finite linear algebra over exact rationals (sympy's sparse
+`DomainMatrix` over QQ): a symbol is a subspace of S_q T* (x) E cut out by
+linear equations, its prolongations shift those equations up in symmetric
+degree, and the delta complex
 
-    wedge^{s-1} (x) g_{q+1}  ->  wedge^s (x) g_q  ->  wedge^{s+1} (x) g_{q-1}
+    wedge^{s-1} (x) g_{l+1}  ->  wedge^s (x) g_l  ->  wedge^{s+1} (x) g_{l-1}
 
-has cohomology dimensions computed from exact ranks.  The classical
-dimension tables (flat metric, conformal, contact families) come out of
-these ranks, not out of the closed forms.
+has cohomology dimensions computed from the ranks of delta on a basis of
+each g_l:
+
+    dim H^s(g_l) = C(n, s) dim g_l - rk delta|wedge^s (x) g_l
+                                   - rk delta|wedge^{s-1} (x) g_{l+1}.
+
+The Killing and conformal tables come out of one rule on these groups:
+F0 = E, F1 = S_q T* (x) E / g_q, and F_{s-1} = H^s(g_{q+r_s}) for
+s = 2..n, where r_s is the least r giving a nonzero group.  Only the
+contact family, which is not of finite type, keeps a closed form.
 """
 
 from __future__ import annotations
@@ -18,52 +26,31 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
-class UnsupportedDimension(ValueError):
+from .field import DiffmodError
+
+
+class UnsupportedDimension(DiffmodError, ValueError):
     pass
 
 
 # ---------------------------------------------------------------------------
 # exact linear algebra
 
+def _matrix(rows, ncols):
+    dod = {}
+    for i, row in enumerate(rows):
+        entries = {c: QQ.convert(v) for c, v in row.items() if v}
+        if entries:
+            dod[i] = entries
+    return DomainMatrix.from_dod(dod, (len(rows), ncols), QQ)
+
+
 def rank(rows, ncols):
-    """Rank of a matrix given as a list of {col: Fraction} dicts."""
-    rows = [dict(r) for r in rows if r]
-    rk = 0
-    used = set()
-    for _ in range(len(rows)):
-        pivot_row = None
-        pivot_col = None
-        for r in rows:
-            for c in r:
-                if c not in used:
-                    pivot_row, pivot_col = r, c
-                    break
-            if pivot_row is not None:
-                break
-        if pivot_row is None:
-            break
-        rk += 1
-        used.add(pivot_col)
-        pv = pivot_row[pivot_col]
-        rows.remove(pivot_row)
-        reduced = []
-        for r in rows:
-            if pivot_col in r:
-                f = r[pivot_col] / pv
-                new = dict(r)
-                for c, v in pivot_row.items():
-                    w = new.get(c, Fraction(0)) - f * v
-                    if w:
-                        new[c] = w
-                    else:
-                        new.pop(c, None)
-                if new:
-                    reduced.append(new)
-            else:
-                reduced.append(r)
-        rows = reduced
-    return rk
+    """Rank of a matrix given as a list of {col: value} dicts."""
+    return _matrix(rows, ncols).rank()
 
 
 # ---------------------------------------------------------------------------
@@ -112,13 +99,25 @@ class SymbolSpace:
     def ambient_dim(self):
         return self.m * sym_dim(self.n, self.q)
 
+    def _coordinates(self):
+        """The keys (mu, k) of S_q T* (x) E, and the equations as rows
+        over their positions."""
+        keys = [(mu, k) for mu in sym_monos(self.n, self.q)
+                for k in range(self.m)]
+        index = {key: i for i, key in enumerate(keys)}
+        return keys, [{index[key]: v for key, v in eq.items()}
+                      for eq in self.equations]
+
     @property
     def dim(self):
-        index = {(mu, k): i for i, (mu, k) in enumerate(
-            (mu, k) for mu in sym_monos(self.n, self.q) for k in range(self.m))}
-        rows = [{index[key]: Fraction(v) for key, v in eq.items()}
-                for eq in self.equations]
-        return self.ambient_dim - rank(rows, len(index))
+        keys, rows = self._coordinates()
+        return len(keys) - rank(rows, len(keys))
+
+    def basis(self):
+        """A basis of g_q, as {(mu, k): value} dicts."""
+        keys, rows = self._coordinates()
+        null = _matrix(rows, len(keys)).nullspace().to_dod()
+        return [{keys[c]: v for c, v in vec.items()} for vec in null.values()]
 
     def prolong(self, r=1):
         """g_{q+r}: every equation shifted by every degree-r monomial."""
@@ -154,84 +153,56 @@ class SymbolSpace:
 # ---------------------------------------------------------------------------
 # the delta complex
 
-def _delta_matrix(n, m, s, q):
-    """Matrix of delta: wedge^s (x) S_q (x) E -> wedge^{s+1} (x) S_{q-1} (x) E.
+def _delta(I, mu):
+    """delta(e_I (x) x^mu): one d_j moves from the symmetric factor to the
+    wedge factor.  Yields (sign, J, nu) with J = I + {j} ascending,
+    nu = mu - 1_j and sign (-1)^(position of j in J); E is a spectator."""
+    for j, mj in enumerate(mu):
+        if mj and j not in I:
+            J = tuple(sorted(I + (j,)))
+            yield (-1) ** J.index(j), J, mu[:j] + (mj - 1,) + mu[j + 1:]
 
-    Returns (rows, source_index) where rows are target equations in
-    source coordinates: row[(J, nu, k)] has entries (-1)^t at
-    (J minus j_t, nu + j_t, k).
-    """
-    src = {}
+
+def _delta_rank(n, s, basis):
+    """Rank of delta on wedge^s (x) span(basis)."""
+    cols = {}
+    rows = []
     for I in wedge_sets(n, s):
-        for mu in sym_monos(n, q):
-            for k in range(m):
-                src[(I, mu, k)] = len(src)
-    rows = []
-    if q < 1 or s + 1 > n:
-        return rows, src
-    for J in wedge_sets(n, s + 1):
-        for nu in sym_monos(n, q - 1):
-            for k in range(m):
-                row = {}
-                for t, jt in enumerate(J):
-                    I = tuple(x for x in J if x != jt)
-                    shifted = tuple(v + (1 if i == jt else 0)
-                                    for i, v in enumerate(nu))
-                    col = src[(I, shifted, k)]
-                    row[col] = row.get(col, Fraction(0)) + Fraction((-1) ** t)
-                row = {c: v for c, v in row.items() if v}
-                if row:
-                    rows.append(row)
-    return rows, src
-
-
-def _slice_equations(g, s, src):
-    """The g-membership equations applied to every wedge slice."""
-    rows = []
-    for I in wedge_sets(g.n, s):
-        for eq in g.equations:
+        for vec in basis:
             row = {}
-            for (mu, k), v in eq.items():
-                row[src[(I, mu, k)]] = Fraction(v)
-            if row:
-                rows.append(row)
-    return rows
+            for (mu, k), v in vec.items():
+                for sign, J, nu in _delta(I, mu):
+                    c = cols.setdefault((J, nu, k), len(cols))
+                    row[c] = row.get(c, 0) + sign * v
+            rows.append(row)
+    return rank(rows, len(cols))
+
+
+def _cohomology_dim(n, s, here, above):
+    """dim H^s(g_l) from bases of g_l (`here`) and g_{l+1} (`above`)."""
+    return (math.comb(n, s) * len(here) - _delta_rank(n, s, here)
+            - _delta_rank(n, s - 1, above))
 
 
 def _cycle_dim(g, s, level):
     """dim of {w in wedge^s (x) g_level : delta w = 0}."""
-    if s < 0 or s > g.n:
-        return 0
-    gl = g.at_level(level)
-    delta_rows, src = _delta_matrix(g.n, g.m, s, level)
-    slice_rows = _slice_equations(gl, s, src)
-    ambient = len(src)
-    return ambient - rank(delta_rows + slice_rows, ambient)
-
-
-def _wedge_symbol_dim(g, s, level):
-    if s < 0 or s > g.n:
-        return 0
-    return math.comb(g.n, s) * g.at_level(level).dim
+    basis = g.at_level(level).basis()
+    return math.comb(g.n, s) * len(basis) - _delta_rank(g.n, s, basis)
 
 
 def delta_cohomology_dim(g, s, r=0):
     """dim H^s(g_{q+r}): kernel minus image at wedge^s (x) g_{q+r}."""
     level = g.q + r
-    z = _cycle_dim(g, s, level)
-    if s == 0:
-        return z
-    b = _wedge_symbol_dim(g, s - 1, level + 1) - _cycle_dim(g, s - 1, level + 1)
-    return z - b
+    return _cohomology_dim(g.n, s, g.at_level(level).basis(),
+                           g.at_level(level + 1).basis())
 
 
-def acyclicity_check(g, k, max_extra=None):
+def acyclicity_check(g, k):
     """True iff H^s(g_{q+r}) = 0 for 1 <= s <= k and all needed r.
 
     Prolongations are checked until the symbol dies (finite type) or a
     small safety margin past stabilisation is reached.
     """
-    extra = max_extra if max_extra is not None else g.n + 2
     r = 0
     while True:
         gl = g.at_level(g.q + r)
@@ -241,35 +212,22 @@ def acyclicity_check(g, k, max_extra=None):
             if delta_cohomology_dim(g, s, r) != 0:
                 return False
         r += 1
-        if r > extra:
+        if r > g.n + 2:
             return True
 
 
 def delta_squared_is_zero(n, m, s, q):
-    """Exact check that the composite of two delta maps vanishes."""
-    if q < 2 or s + 2 > n:
-        return True
-    first, src = _delta_matrix(n, m, s, q)
-    second, mid = _delta_matrix(n, m, s + 1, q - 1)
-    # compose: rows of `second` are functionals on mid coords; each mid
-    # coordinate row in `first` is indexed in the same target order
-    target_rows = []
-    mid_keys = [(I, mu, k) for I in wedge_sets(n, s + 1)
-                for mu in sym_monos(n, q - 1) for k in range(m)]
-    first_by_target = {}
-    pos = 0
-    for key in mid_keys:
-        row = first[pos] if pos < len(first) else {}
-        first_by_target[key] = row
-        pos += 1
-    for row2 in second:
-        acc = {}
-        for mid_col, v in row2.items():
-            key = mid_keys[mid_col]
-            for c, w in first_by_target[key].items():
-                acc[c] = acc.get(c, Fraction(0)) + v * w
-        if any(acc.values()):
-            return False
+    """Exact check that the composite of two delta maps vanishes.
+
+    delta leaves the E factor alone, so its rank m plays no part."""
+    for I in wedge_sets(n, s):
+        for mu in sym_monos(n, q):
+            acc = {}
+            for sign, J, nu in _delta(I, mu):
+                for sign2, K, rho in _delta(J, nu):
+                    acc[(K, rho)] = acc.get((K, rho), 0) + sign * sign2
+            if any(acc.values()):
+                return False
     return True
 
 
@@ -279,7 +237,7 @@ def delta_squared_is_zero(n, m, s, q):
 def killing_symbol(n, metric=None):
     """First-order symbol of the isometry system: omega-antisymmetric maps."""
     if n < 2:
-        raise UnsupportedDimension("need n >= 2")
+        raise UnsupportedDimension("killing needs n >= 2")
     om = metric or [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     units = sym_monos(n, 1)
     eqs = []
@@ -300,7 +258,7 @@ def killing_symbol(n, metric=None):
 def conformal_symbol(n, metric=None):
     """First-order symbol of the conformal system: trace part set free."""
     if n < 3:
-        raise UnsupportedDimension("need n >= 3")
+        raise UnsupportedDimension("conformal needs n >= 3")
     om = metric or [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     if rank([{j: Fraction(v) for j, v in enumerate(row) if v} for row in om],
             n) < n:
@@ -338,52 +296,48 @@ def contact_bundle_dim(n, r):
 def classical_dims(family, n):
     """Bundle dimensions and operator orders of the Janet-type sequence.
 
-    Every entry is computed from exact symbol ranks (or the contact
-    combinatorial formula); nothing is read off a closed form.
+    Killing and conformal, with symbol g_q on E: F0 = E,
+    F1 = S_q T* (x) E / g_q, and F_{s-1} = H^s(g_{q+r_s}) for s = 2..n,
+    where r_s is the least r with a nonzero group.  The operator orders
+    are q, then q + 1 + r_2, then 1 + r_s - r_{s-1}.  Both symbols are of
+    finite type, so the search over r ends where g_{q+r} = 0.  A table
+    that lacks n + 1 entries or a vanishing alternating sum raises instead
+    of being returned.
+
+    Contact is not of finite type and keeps its combinatorial formula.
     """
-    if family == "killing":
-        if n < 2:
-            raise UnsupportedDimension("killing needs n >= 2")
-        g = killing_symbol(n)
-        dims = [n, n * (n + 1) // 2]
-        orders = [1, 2]
-        for s in range(2, n + 1):
-            h = delta_cohomology_dim(g, s, 0)
-            if h == 0 and s > 2:
-                break
-            dims.append(h)
-            if s > 2:
-                orders.append(1)
-        return {"family": family, "n": n, "dims": dims, "orders": orders}
-    if family == "conformal":
-        if n < 3:
-            raise UnsupportedDimension("conformal needs n >= 3")
-        g = conformal_symbol(n)
-        f0 = n * (n + 1) // 2 - 1
-        if n == 3:
-            f1 = delta_cohomology_dim(g, 2, 1)
-            f2 = delta_cohomology_dim(g, 3, 1)
-            return {"family": family, "n": n, "dims": [n, f0, f1, f2],
-                    "orders": [1, 3, 1]}
-        if n == 4:
-            f1 = delta_cohomology_dim(g, 2, 0)
-            f2 = delta_cohomology_dim(g, 3, 1)
-            f3 = delta_cohomology_dim(g, 4, 1)
-            return {"family": family, "n": n, "dims": [n, f0, f1, f2, f3],
-                    "orders": [1, 2, 2, 1]}
-        # n >= 5: second and third bundles are straight delta-cohomology;
-        # the tail closes by adjoint symmetry of the sequence
-        f1 = delta_cohomology_dim(g, 2, 0)
-        f2 = delta_cohomology_dim(g, 3, 0)
-        return {"family": family, "n": n, "dims": [n, f0, f1, f2, f0, n],
-                "orders": [1, 2, 1, 2, 1]}
     if family == "contact":
         if n < 3 or n % 2 == 0:
             raise UnsupportedDimension("contact needs odd n >= 3")
         dims = [n] + [contact_bundle_dim(n, r) for r in range(0, n - 1)]
         orders = [1] * (n - 1)
         return {"family": family, "n": n, "dims": dims, "orders": orders}
-    raise UnsupportedDimension(f"unknown family {family!r}")
+    symbols = {"killing": killing_symbol, "conformal": conformal_symbol}
+    if family not in symbols:
+        raise UnsupportedDimension(f"unknown family {family!r}")
+    g = symbols[family](n)
+    bases = []        # g_q, g_{q+1}, ..., ending with the first zero one
+    gl = g
+    while not bases or bases[-1]:
+        bases.append(gl.basis())
+        gl = gl.prolong()
+    dims = [g.m, g.ambient_dim - len(bases[0])]
+    orders = [g.q]
+    for s in range(2, n + 1):
+        for r in range(len(bases) - 1):
+            h = _cohomology_dim(n, s, bases[r], bases[r + 1])
+            if h:
+                break
+        else:
+            raise UnsupportedDimension(
+                f"{family} n={n}: H^{s} vanishes on every prolongation")
+        dims.append(h)
+        orders.append(g.q + 1 + r if s == 2 else 1 + r - last)
+        last = r
+    if len(dims) != n + 1 or sum((-1) ** i * d for i, d in enumerate(dims)):
+        raise UnsupportedDimension(
+            f"{family} n={n}: table {dims} is not an exact sequence")
+    return {"family": family, "n": n, "dims": dims, "orders": orders}
 
 
 def conformal_diagram_dims(n=5):
@@ -398,22 +352,14 @@ def conformal_diagram_dims(n=5):
         raise UnsupportedDimension("the diagram needs n >= 5")
     g = killing_symbol(n)
     gh = conformal_symbol(n)
-    z3_killing = _cycle_dim(g, 3, 1)
-    z3_conformal = _cycle_dim(gh, 3, 1)
-    h3_conformal = delta_cohomology_dim(gh, 3, 0)
-    wedge2_g2hat = math.comb(n, 2) * gh.prolong(1).dim
-    # delta(T* x S2 T*) inside wedge^2 x T*: image dimension of delta
-    full = SymbolSpace(n, 1, 2, [])
-    src_dim = n * sym_dim(n, 2)
-    delta_t_s2 = src_dim - _cycle_dim(full, 1, 2)
-    wedge3 = math.comb(n, 3)
     return {
-        "z3_isometry": z3_killing,
-        "z3_conformal": z3_conformal,
-        "h3_conformal": h3_conformal,
-        "wedge2_g2hat": wedge2_g2hat,
-        "delta_T_S2": delta_t_s2,
-        "wedge3": wedge3,
+        "z3_isometry": _cycle_dim(g, 3, 1),
+        "z3_conformal": _cycle_dim(gh, 3, 1),
+        "h3_conformal": delta_cohomology_dim(gh, 3, 0),
+        "wedge2_g2hat": math.comb(n, 2) * gh.prolong(1).dim,
+        # delta(T* x S2 T*) inside wedge^2 x T*: image dimension of delta
+        "delta_T_S2": _delta_rank(n, 1, SymbolSpace(n, 1, 2, []).basis()),
+        "wedge3": math.comb(n, 3),
     }
 
 

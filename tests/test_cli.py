@@ -131,3 +131,22 @@ def test_corpus_case_split_branches():
     branch_checks = [r for r in results if "case" in r.check]
     assert len(branch_checks) >= 2
     assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spencer", "--family", "conformal", "--n", "2"],
+    ["spencer", "--n", "4"],
+    ["spencer", "--family", "killing"],
+])
+def test_spencer_bad_input_is_an_error_not_a_traceback(capsys, argv):
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_spencer_conformal_n6(capsys):
+    code, report = run_json(capsys, ["spencer", "--family", "conformal",
+                                     "--n", "6"])
+    assert code == 0
+    assert report["payload"]["dims"] == [6, 20, 84, 140, 84, 20, 6]

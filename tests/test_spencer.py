@@ -138,3 +138,40 @@ def test_rank_helper():
             {0: Fraction(2), 1: Fraction(4)},
             {2: Fraction(5)}]
     assert rank(rows, 3) == 2
+
+
+def test_conformal_n6_table_is_exact():
+    t = classical_dims("conformal", 6)
+    assert t["dims"] == [6, 20, 84, 140, 84, 20, 6]
+    assert t["orders"] == [1, 2, 1, 1, 2, 1]
+
+
+@pytest.mark.parametrize("family,n", [("killing", n) for n in range(2, 8)]
+                         + [("conformal", n) for n in range(3, 7)])
+def test_finite_type_tables_are_exact_sequences(family, n):
+    t = classical_dims(family, n)
+    assert len(t["dims"]) == n + 1
+    assert sum((-1) ** i * d for i, d in enumerate(t["dims"])) == 0
+    assert len(t["orders"]) == len(t["dims"]) - 1
+
+
+@pytest.mark.parametrize("family,n,dims,orders", [
+    ("killing", 2, [2, 3, 1], [1, 2]),
+    ("killing", 3, [3, 6, 6, 3], [1, 2, 1]),
+    ("killing", 4, [4, 10, 20, 20, 6], [1, 2, 1, 1]),
+    ("killing", 5, [5, 15, 50, 75, 45, 10], [1, 2, 1, 1, 1]),
+    ("killing", 6, [6, 21, 105, 210, 189, 84, 15], [1, 2, 1, 1, 1, 1]),
+    ("killing", 7, [7, 28, 196, 490, 588, 392, 140, 21],
+     [1, 2, 1, 1, 1, 1, 1]),
+    ("conformal", 3, [3, 5, 5, 3], [1, 3, 1]),
+    ("conformal", 4, [4, 9, 10, 9, 4], [1, 2, 2, 1]),
+    ("conformal", 5, [5, 14, 35, 35, 14, 5], [1, 2, 1, 2, 1]),
+])
+def test_pinned_tables(family, n, dims, orders):
+    t = classical_dims(family, n)
+    assert (t["dims"], t["orders"]) == (dims, orders)
+
+
+def test_unknown_family_is_rejected():
+    with pytest.raises(UnsupportedDimension):
+        classical_dims("projective", 4)
