@@ -4,6 +4,19 @@ Reads a .dms file (or a symbol-family request), runs the corresponding
 operation, and writes a report: JSON on stdout by default, or
 report.json plus report.md under --out.  Exit status: 0 success,
 1 error, 2 when a parameter needs a case decision first.
+
+Every file subcommand reports one envelope: command, input (path and
+sha256 of the file), case, payload and provisos.  `ext --split` runs the
+command once per branch of each declared split parameter and reports
+the payloads, each with its branch, under branches instead.
+
+Each --assume item is one of:
+
+    expr!=0   expr is nonzero; expr is written as in a .dms file, so
+    expr      d1(alpha) is the funcparam derivative and every name must
+              be declared
+    param=k   the case param = k, for a declared parameter and an
+              integer k; the system is specialised before anything runs
 """
 
 from __future__ import annotations
@@ -16,68 +29,14 @@ import time
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .dsl import elaborate, parse_system
+from .dsl import elaborate, load_problem, parse_system
 from .duality import (NotParametrizable, double_duality_test, ext_module,
                       parametrize, torsion_submodule)
-from .field import CaseSplitRequired, DiffmodError, RatFunc, Session
+from .field import CaseSplitRequired, DiffmodError
 from .janet import board_text, complete, count_parametric, janet_board
-from .ops import TermOrder
 from .syzygy import build_sequence, compatibility_conditions, differential_rank
 
 SCHEMA = 1
-
-
-def _load(path):
-    text = Path(path).read_text()
-    decl = parse_system(text)
-    field, matrix, meta = elaborate(decl)
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    return field, matrix, meta, digest
-
-
-def _parse_assume(values):
-    assume, case = [], {}
-    for v in values or ():
-        v = v.replace(" ", "")
-        if "!=" in v:
-            lhs, rhs = v.split("!=")
-            if rhs != "0":
-                raise DiffmodError("--assume wants 'expr!=0' or 'param=0'")
-            assume.append(lhs)
-        elif "=" in v:
-            lhs, rhs = v.split("=")
-            case[lhs] = int(rhs)
-        else:
-            assume.append(v)
-    return assume, case
-
-
-def _prepare(path, assume_args, order_vars=None):
-    field, matrix, meta, digest = _load(path)
-    assume, case = _parse_assume(assume_args)
-    if case:
-        matrix = matrix.specialize(case)
-        new_field = matrix.field
-        mapping = {field.symbol(k): v for k, v in case.items()}
-        assumptions = []
-        for a in meta["assumptions"]:
-            rf = RatFunc(new_field, a.expr.xreplace(mapping))
-            if not rf.is_zero:
-                assumptions.append(rf)
-        field = new_field
-    else:
-        assumptions = list(meta["assumptions"])
-    for text in assume:
-        assumptions.append(field.ratfunc(text))
-    splits = [s for s in meta["splits"]
-              if s not in case and all(str(a.expr) != s for a in assumptions)]
-    session = Session(field, assume_nonzero=assumptions, split_params=splits,
-                      case=case)
-    order = meta["order"]
-    if order_vars:
-        seq = tuple(int(x) for x in order_vars.split(","))
-        order = TermOrder(kind=order.kind, var_seq=seq)
-    return field, matrix, meta, session, order, digest, case
 
 
 def _matrix_payload(mat):
@@ -122,238 +81,160 @@ def _markdown(report):
     return "\n".join(lines) + "\n"
 
 
-def _provisos(field, session):
-    return [field.coeff_str(p.expr) for p in session.provisos]
+def _order_vars(text):
+    if text is None:
+        return None
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise DiffmodError("--order-vars wants variable indices such as "
+                           f"2,3,1, got {text!r}") from None
+
+
+def run_file(args):
+    """Load the file into a Problem per branch, run the subcommand on it
+    and report the envelope."""
+    t0 = time.time()
+    text = Path(args.file).read_text()
+    system = elaborate(parse_system(text))
+    var_seq = _order_vars(getattr(args, "order_vars", None))
+    report = {
+        "command": args.command,
+        "input": {"path": args.file,
+                  "sha256": hashlib.sha256(text.encode()).hexdigest()},
+    }
+    if getattr(args, "split", False):
+        branches = [[f"{s}{rel}0"] for s in system[2]["splits"]
+                    for rel in ("=", "!=")] or [[]]
+        report["branches"] = []
+        for extra in branches:
+            problem = load_problem(system, args.assume + extra, var_seq)
+            report["branches"].append({**args.payload(problem, args),
+                                       "branch": extra})
+    else:
+        problem = load_problem(system, args.assume, var_seq)
+        report["case"] = problem.case
+        report["payload"] = args.payload(problem, args)
+        report["provisos"] = [problem.field.coeff_str(p.expr)
+                              for p in problem.session.provisos]
+    return _finish(report, args, t0)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# file subcommands: each maps a Problem to its payload
 
-def cmd_complete(args):
-    t0 = time.time()
-    field, matrix, meta, session, order, digest, case = _prepare(
-        args.file, args.assume, args.order_vars)
-    basis = complete(matrix, order=order, session=session)
+def complete_payload(problem, args):
+    basis = complete(problem.matrix, order=problem.order,
+                     session=problem.session)
     count = count_parametric(basis)
-    report = {
-        "command": "complete",
-        "input": {"path": args.file, "sha256": digest},
-        "case": case,
-        "payload": {
-            "basis": _matrix_payload(basis.matrix()),
-            "board": janet_board(basis),
-            "board_text": board_text(basis),
-            "involutive": basis.verify_involutive(),
-            "integrability_conditions": [
-                m.row_string(0) for m in basis.trace.integrability_conditions],
-            "finite_type": count.finite_type,
-            "dim": count.dim,
-            "hilbert": {str(k): v for k, v in count.hilbert.items()},
-        },
-        "provisos": _provisos(field, session),
+    return {
+        "basis": _matrix_payload(basis.matrix()),
+        "board": janet_board(basis),
+        "board_text": board_text(basis),
+        "involutive": basis.verify_involutive(),
+        "integrability_conditions": [
+            m.row_string(0) for m in basis.trace.integrability_conditions],
+        "finite_type": count.finite_type,
+        "dim": count.dim,
+        "hilbert": {str(k): v for k, v in count.hilbert.items()},
     }
-    return _finish(report, args, t0)
 
 
-def cmd_cc(args):
-    t0 = time.time()
-    field, matrix, meta, session, order, digest, case = _prepare(
-        args.file, args.assume, args.order_vars)
-    cc = compatibility_conditions(matrix, order=order, session=session)
-    report = {
-        "command": "cc",
-        "input": {"path": args.file, "sha256": digest},
-        "case": case,
-        "payload": {
-            "cc": _matrix_payload(cc),
-            "composition_zero": cc.compose(matrix).is_zero,
-        },
-        "provisos": _provisos(field, session),
+def cc_payload(problem, args):
+    cc = compatibility_conditions(problem.matrix, order=problem.order,
+                                  session=problem.session)
+    return {"cc": _matrix_payload(cc),
+            "composition_zero": cc.compose(problem.matrix).is_zero}
+
+
+def sequence_payload(problem, args):
+    seq = build_sequence(problem.matrix, max_steps=args.max_steps,
+                         order=problem.order, session=problem.session)
+    return {
+        "orders": seq.orders,
+        "shape": list(seq.shape),
+        "formally_exact": seq.formally_exact,
+        "strictly_exact": seq.strictly_exact,
+        "involutive": seq.involutive,
+        "terminated": seq.terminated,
+        "alternating_rank_sum": seq.alternating_rank_sum(),
+        "operators": [_matrix_payload(op) for op in seq.ops],
+        "composition_certificates": seq.certificates,
     }
-    return _finish(report, args, t0)
 
 
-def cmd_sequence(args):
-    t0 = time.time()
-    field, matrix, meta, session, order, digest, case = _prepare(
-        args.file, args.assume, args.order_vars)
-    seq = build_sequence(matrix, max_steps=args.max_steps, order=order,
-                         session=session)
-    report = {
-        "command": "sequence",
-        "input": {"path": args.file, "sha256": digest},
-        "case": case,
-        "payload": {
-            "orders": seq.orders,
-            "shape": list(seq.shape),
-            "formally_exact": seq.formally_exact,
-            "strictly_exact": seq.strictly_exact,
-            "involutive": seq.involutive,
-            "terminated": seq.terminated,
-            "alternating_rank_sum": seq.alternating_rank_sum(),
-            "operators": [_matrix_payload(op) for op in seq.ops],
-            "composition_certificates": seq.certificates,
-        },
-        "provisos": _provisos(field, session),
+def adjoint_payload(problem, args):
+    ad = problem.matrix.adjoint()
+    return {"adjoint": _matrix_payload(ad),
+            "involution_check": ad.adjoint() == problem.matrix}
+
+
+def rank_payload(problem, args):
+    value = differential_rank(problem.matrix, order=problem.order,
+                              session=problem.session.copy())
+    ad_value = differential_rank(problem.matrix.adjoint(), order=problem.order,
+                                 session=problem.session.copy())
+    return {"rank": value, "adjoint_rank": ad_value,
+            "equal": value == ad_value}
+
+
+def duality_payload(problem, args):
+    res = double_duality_test(problem.matrix, order=problem.order,
+                              session=problem.session)
+    return {
+        "torsion_free": res.torsion_free,
+        "parametrizing": _matrix_payload(res.parametrizing),
+        "adjoint_cc": _matrix_payload(res.adjoint_cc),
+        "d1_prime": _matrix_payload(res.d1_prime),
+        "extra_cc": [m.row_string(0) for m in res.extra_cc],
     }
-    return _finish(report, args, t0)
 
 
-def cmd_adjoint(args):
-    t0 = time.time()
-    field, matrix, meta, session, order, digest, case = _prepare(
-        args.file, args.assume, None)
-    ad = matrix.adjoint()
-    report = {
-        "command": "adjoint",
-        "input": {"path": args.file, "sha256": digest},
-        "case": case,
-        "payload": {
-            "adjoint": _matrix_payload(ad),
-            "involution_check": ad.adjoint() == matrix,
-        },
-        "provisos": _provisos(field, session),
-    }
-    return _finish(report, args, t0)
+def torsion_payload(problem, args):
+    certs = torsion_submodule(problem.matrix, order=problem.order,
+                              session=problem.session)
+    return {"generators": [{
+        "element": c.element.row_string(0),
+        "annihilator": c.annihilator.to_string(""),
+        "witness": c.witness.row_string(0),
+        "verified": c.verify(),
+    } for c in certs]}
 
 
-def cmd_rank(args):
-    t0 = time.time()
-    field, matrix, meta, session, order, digest, case = _prepare(
-        args.file, args.assume, args.order_vars)
-    value = differential_rank(matrix, order=order, session=session.copy())
-    ad_value = differential_rank(matrix.adjoint(), order=order,
-                                 session=session.copy())
-    report = {
-        "command": "rank",
-        "input": {"path": args.file, "sha256": digest},
-        "case": case,
-        "payload": {"rank": value, "adjoint_rank": ad_value,
-                    "equal": value == ad_value},
-        "provisos": _provisos(field, session),
-    }
-    return _finish(report, args, t0)
-
-
-def cmd_duality(args):
-    t0 = time.time()
-    field, matrix, meta, session, order, digest, case = _prepare(
-        args.file, args.assume, args.order_vars)
-    res = double_duality_test(matrix, order=order, session=session)
-    report = {
-        "command": "duality",
-        "input": {"path": args.file, "sha256": digest},
-        "case": case,
-        "payload": {
-            "torsion_free": res.torsion_free,
-            "parametrizing": _matrix_payload(res.parametrizing),
-            "adjoint_cc": _matrix_payload(res.adjoint_cc),
-            "d1_prime": _matrix_payload(res.d1_prime),
-            "extra_cc": [m.row_string(0) for m in res.extra_cc],
-        },
-        "provisos": _provisos(field, session),
-    }
-    return _finish(report, args, t0)
-
-
-def cmd_torsion(args):
-    t0 = time.time()
-    field, matrix, meta, session, order, digest, case = _prepare(
-        args.file, args.assume, args.order_vars)
-    certs = torsion_submodule(matrix, order=order, session=session)
-    report = {
-        "command": "torsion",
-        "input": {"path": args.file, "sha256": digest},
-        "case": case,
-        "payload": {
-            "generators": [{
-                "element": c.element.row_string(0),
-                "annihilator": c.annihilator.to_string(""),
-                "witness": c.witness.row_string(0),
-                "verified": c.verify(),
-            } for c in certs],
-        },
-        "provisos": _provisos(field, session),
-    }
-    return _finish(report, args, t0)
-
-
-def _ext_payload(field, matrix, meta, session, order, i, case):
-    seq = build_sequence(matrix, order=order, session=session)
-    report = ext_module(seq, i, order=order, session=session,
-                        case_context=case)
+def ext_payload(problem, args):
+    seq = build_sequence(problem.matrix, order=problem.order,
+                         session=problem.session)
+    report = ext_module(seq, args.i, order=problem.order,
+                        session=problem.session, case_context=problem.case)
     surviving = [k for k, r in enumerate(report.residues)
                  if not all(e.is_zero for e in r)]
     return {
-        "index": i,
+        "index": args.i,
         "vanishing": report.vanishing,
         "generators": _matrix_payload(report.generators),
         "surviving_generators": [report.generators.row_string(k)
                                  for k in surviving],
-        "image": _matrix_payload(report.image) if report.image is not None else None,
+        "image": (_matrix_payload(report.image)
+                  if report.image is not None else None),
         "torsion_generators": [{
             "element": c.element.row_string(0),
             "annihilator": c.annihilator.to_string(""),
             "verified": c.verify(),
         } for c in report.torsion_generators],
-        "case_context": {k: v for k, v in case.items()},
+        "case_context": dict(problem.case),
     }
 
 
-def cmd_ext(args):
-    t0 = time.time()
-    if args.split:
-        _, _, meta, digest = _load(args.file)
-        branches = []
-        for split in meta["splits"]:
-            branches.append([f"{split}=0"])
-            branches.append([f"{split}!=0"])
-        if not branches:
-            branches = [[]]
-        payloads = []
-        for extra in branches:
-            f2, m2, meta2, session, order, _, case = _prepare(
-                args.file, list(args.assume or ()) + extra, args.order_vars)
-            payload = _ext_payload(f2, m2, meta2, session, order, args.i, case)
-            payload["branch"] = extra
-            payloads.append(payload)
-        report = {
-            "command": "ext",
-            "input": {"path": args.file, "sha256": digest},
-            "branches": payloads,
-        }
-        return _finish(report, args, t0)
-    field, matrix, meta, session, order, digest, case = _prepare(
-        args.file, args.assume, args.order_vars)
-    payload = _ext_payload(field, matrix, meta, session, order, args.i, case)
-    report = {
-        "command": "ext",
-        "input": {"path": args.file, "sha256": digest},
-        "case": case,
-        "payload": payload,
-        "provisos": _provisos(field, session),
-    }
-    return _finish(report, args, t0)
-
-
-def cmd_parametrize(args):
-    t0 = time.time()
-    field, matrix, meta, session, order, digest, case = _prepare(
-        args.file, args.assume, args.order_vars)
-    res = parametrize(matrix, order=order, session=session)
-    report = {
-        "command": "parametrize",
-        "input": {"path": args.file, "sha256": digest},
-        "case": case,
-        "payload": {
-            "parametrizing": _matrix_payload(res.parametrizing),
+def parametrize_payload(problem, args):
+    res = parametrize(problem.matrix, order=problem.order,
+                      session=problem.session)
+    return {"parametrizing": _matrix_payload(res.parametrizing),
             "certified": res.certified,
-            "minimal_rank_bound": res.minimal_rank_bound,
-        },
-        "provisos": _provisos(field, session),
-    }
-    return _finish(report, args, t0)
+            "minimal_rank_bound": res.minimal_rank_bound}
 
+
+# ---------------------------------------------------------------------------
+# other subcommands
 
 def cmd_spencer(args):
     t0 = time.time()
@@ -380,7 +261,6 @@ def cmd_spencer(args):
 
 
 def cmd_corpus(args):
-    t0 = time.time()
     directory = Path(args.dir) if args.dir else None
     results = corpus_mod.run_corpus(args.filter or "", directory)
     n_pass = sum(1 for r in results if r.passed)
@@ -401,40 +281,40 @@ def main(argv=None):
         description="exact workbench for linear differential operators")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, order_vars=True):
+    def add_file_command(name, summary, payload, order_vars=True):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("file", help="a .dms system file")
         p.add_argument("--assume", action="append", default=[],
-                       help="'expr!=0' adds a nonzero assumption, "
-                            "'param=0' substitutes a case value")
+                       help="'expr!=0' (or 'expr') assumes expr nonzero, "
+                            "expr written as in a .dms file; 'param=k' "
+                            "takes the case param = k (k an integer)")
         p.add_argument("--out", help="directory for report.json / report.md")
         if order_vars:
             p.add_argument("--order-vars",
                            help="variable priority, lowest first, e.g. 2,3,1")
+        p.set_defaults(func=run_file, payload=payload)
+        return p
 
-    p = sub.add_parser("complete", help="involutive completion and board")
-    add_common(p); p.set_defaults(func=cmd_complete)
-    p = sub.add_parser("cc", help="generating compatibility conditions")
-    add_common(p); p.set_defaults(func=cmd_cc)
-    p = sub.add_parser("sequence", help="iterated compatibility conditions")
-    add_common(p)
+    add_file_command("complete", "involutive completion and board",
+                     complete_payload)
+    add_file_command("cc", "generating compatibility conditions", cc_payload)
+    p = add_file_command("sequence", "iterated compatibility conditions",
+                         sequence_payload)
     p.add_argument("--max-steps", type=int, default=None)
-    p.set_defaults(func=cmd_sequence)
-    p = sub.add_parser("adjoint", help="formal adjoint matrix")
-    add_common(p, order_vars=False); p.set_defaults(func=cmd_adjoint)
-    p = sub.add_parser("rank", help="differential rank, with adjoint check")
-    add_common(p); p.set_defaults(func=cmd_rank)
-    p = sub.add_parser("duality", help="double duality torsion test")
-    add_common(p); p.set_defaults(func=cmd_duality)
-    p = sub.add_parser("torsion", help="torsion submodule generators")
-    add_common(p); p.set_defaults(func=cmd_torsion)
-    p = sub.add_parser("ext", help="extension module ext^i")
-    add_common(p)
+    add_file_command("adjoint", "formal adjoint matrix", adjoint_payload,
+                     order_vars=False)
+    add_file_command("rank", "differential rank, with adjoint check",
+                     rank_payload)
+    add_file_command("duality", "double duality torsion test",
+                     duality_payload)
+    add_file_command("torsion", "torsion submodule generators",
+                     torsion_payload)
+    p = add_file_command("ext", "extension module ext^i", ext_payload)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--split", action="store_true",
                    help="run every declared case branch")
-    p.set_defaults(func=cmd_ext)
-    p = sub.add_parser("parametrize", help="parametrizing operator")
-    add_common(p); p.set_defaults(func=cmd_parametrize)
+    add_file_command("parametrize", "parametrizing operator",
+                     parametrize_payload)
     p = sub.add_parser("spencer", help="symbol cohomology dimension tables")
     p.add_argument("--family", choices=["killing", "conformal", "contact"])
     p.add_argument("--n", type=int)

@@ -5,17 +5,14 @@ library.  Any mismatch is reported with a diff line."""
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field as dc_field
 from importlib import resources
 
-from .dsl import elaborate, parse_system
+from .dsl import elaborate, load_problem, parse_row, parse_system
 from .duality import (double_duality_test, ext_module, kernel_analysis,
                       parametrize, torsion_submodule)
-from .field import RatFunc, Session
-from .janet import (board_of_matrix, board_text, complete, count_parametric,
-                    janet_board)
-from .ops import OpMatrix, ScalarOp, TermOrder
+from .janet import board_of_matrix, complete, count_parametric, janet_board
+from .ops import OpMatrix
 from .syzygy import build_sequence, compatibility_conditions, differential_rank
 
 
@@ -46,53 +43,8 @@ def load_case(name, directory=None):
     return source, fixture
 
 
-def _specialized(field, matrix, meta, case):
-    if not case:
-        session_field = field
-        out_matrix = matrix
-        assumptions = meta["assumptions"]
-    else:
-        out_matrix = matrix.specialize(case)
-        session_field = out_matrix.field
-        mapping = {field.symbol(k): v for k, v in case.items()}
-        assumptions = []
-        for a in meta["assumptions"]:
-            expr = a.expr.xreplace(mapping)
-            rf = RatFunc(session_field, expr)
-            if not rf.is_zero:
-                assumptions.append(rf)
-    return session_field, out_matrix, assumptions
-
-
-def _session_for(field, assumptions, extra_assume, splits, case):
-    assume = list(assumptions)
-    for text in extra_assume or ():
-        text = text.replace(" ", "")
-        if text.endswith("!=0"):
-            text = text[:-3]
-        assume.append(field.ratfunc(text))
-    remaining_splits = [s for s in splits if s not in (case or {})
-                        and not any(str(a.expr) == s for a in assume)]
-    return Session(field, assume_nonzero=assume, split_params=remaining_splits,
-                   case=case or {})
-
-
-def _parse_row(field, text, labels):
-    """Parse an operator row written over the given coordinate labels."""
-    lines = ["vars " + ", ".join(field.var_names) + ";",
-             "unknowns " + ", ".join(labels) + ";"]
-    if field.param_names:
-        lines.append("params " + ", ".join(field.param_names) + ";")
-    if field.func_param_names:
-        lines.append("funcparams " + ", ".join(field.func_param_names) + ";")
-    lines.append(f"R: {text} = z;")
-    sub_field, mat, _ = elaborate(parse_system("\n".join(lines)))
-    row = []
-    for j in range(mat.cols):
-        entry = mat.entries[0][j]
-        row.append(ScalarOp(field, {mu: RatFunc(field, c.expr)
-                                    for mu, c in entry.terms.items()}))
-    return row
+def _sets(lists):
+    return sorted(sorted(x) for x in lists)
 
 
 def _row_module_basis(field, rows, ncols, session, labels):
@@ -104,28 +56,23 @@ def _row_module_basis(field, rows, ncols, session, labels):
 def run_case(name, directory=None):
     """Execute every check of one corpus case; returns CheckResults."""
     source, fixture = load_case(name, directory)
-    decl = parse_system(source)
-    base_field, base_matrix, meta = elaborate(decl)
+    system = elaborate(parse_system(source))
     results = []
     for check in fixture["checks"]:
         op = check["op"]
-        case = {k: int(v) for k, v in (check.get("case") or {}).items()}
-        field, matrix, assumptions = _specialized(base_field, base_matrix,
-                                                  meta, case)
-        session = _session_for(field, assumptions, check.get("assume"),
-                               meta["splits"], case)
+        assume = list(check.get("assume") or ())
+        assume += [f"{k}={v}" for k, v in (check.get("case") or {}).items()]
+        problem = load_problem(system, assume, check.get("order_vars"))
+        field, matrix, session = problem.field, problem.matrix, problem.session
+        order, case = problem.order, problem.case
         expect = check.get("expect", {})
         details = []
 
-        def need(key, actual):
-            if key in expect and expect[key] != actual:
+        def need(key, actual, norm=lambda v: v):
+            if key in expect and norm(expect[key]) != norm(actual):
                 details.append(f"{key}: expected {expect[key]!r}, got {actual!r}")
 
         try:
-            order = meta["order"]
-            if "order_vars" in check:
-                order = TermOrder(kind=order.kind,
-                                  var_seq=tuple(check["order_vars"]))
             if op == "complete":
                 basis = complete(matrix, order=order, session=session)
                 count = count_parametric(basis)
@@ -136,53 +83,34 @@ def run_case(name, directory=None):
                 need("integrability_count",
                      len(basis.trace.integrability_conditions))
                 if "board_mult" in expect:
-                    actual = sorted(tuple(e["mult_vars"])
-                                    for e in janet_board(basis))
-                    wanted = sorted(tuple(b) for b in expect["board_mult"])
-                    if actual != wanted:
-                        details.append(f"board_mult: expected {wanted}, got {actual}")
+                    need("board_mult",
+                         [e["mult_vars"] for e in janet_board(basis)], _sets)
                 for text in expect.get("member_rows", ()):
-                    row = _parse_row(field, text, matrix.col_labels)
+                    row = parse_row(field, text, matrix.col_labels)
                     if not basis.contains(row):
                         details.append(f"member row does not reduce: {text}")
                 for text in expect.get("non_member_rows", ()):
-                    row = _parse_row(field, text, matrix.col_labels)
+                    row = parse_row(field, text, matrix.col_labels)
                     if basis.contains(row):
                         details.append(f"row unexpectedly reduces: {text}")
             elif op == "board":
                 board = board_of_matrix(matrix, order=order, session=session)
-                if "mult_sets" in expect:
-                    actual = [e["mult_vars"] for e in board]
-                    wanted = [sorted(b) for b in expect["mult_sets"]]
-                    if sorted(actual) != sorted(wanted):
-                        details.append(
-                            f"mult_sets: expected {wanted}, got {actual}")
-                if "classes" in expect:
-                    actual = sorted(e["class"] for e in board)
-                    if actual != sorted(expect["classes"]):
-                        details.append(
-                            f"classes: expected {expect['classes']}, got {actual}")
+                need("mult_sets", [e["mult_vars"] for e in board], _sets)
+                need("classes", [e["class"] for e in board], sorted)
             elif op == "cc":
                 cc = compatibility_conditions(matrix, order=order,
                                               session=session)
                 need("rows", cc.rows)
                 need("order", cc.order)
-                if "row_orders" in expect:
-                    actual = sorted(max(cc.entries[i][j].order
-                                        for j in range(cc.cols))
-                                    for i in range(cc.rows))
-                    if actual != sorted(expect["row_orders"]):
-                        details.append(
-                            f"row_orders: expected {expect['row_orders']}, got {actual}")
+                need("row_orders", [max(e.order for e in cc.row(i))
+                                    for i in range(cc.rows)], sorted)
                 if "row_strings" in expect:
-                    actual = [cc.row_string(i) for i in range(cc.rows)]
-                    if actual != expect["row_strings"]:
-                        details.append(
-                            f"row_strings: expected {expect['row_strings']}, got {actual}")
+                    need("row_strings",
+                         [cc.row_string(i) for i in range(cc.rows)])
                 if not cc.compose(matrix).is_zero:
                     details.append("compose(cc, A) != 0")
                 if "mutual_rows" in expect and cc.rows:
-                    given = [_parse_row(field, t, matrix.row_labels)
+                    given = [parse_row(field, t, matrix.row_labels)
                              for t in expect["mutual_rows"]]
                     ours = [cc.row(i) for i in range(cc.rows)]
                     b1 = _row_module_basis(field, given, matrix.rows,
@@ -197,12 +125,8 @@ def run_case(name, directory=None):
                 target = matrix.adjoint() if check.get("adjoint", True) else matrix
                 res = kernel_analysis(target, order=order, session=session)
                 need("status", res["status"])
-                if "conditions" in expect:
-                    actual = sorted(field.coeff_str(c.expr)
-                                    for c in res["conditions"])
-                    if actual != sorted(expect["conditions"]):
-                        details.append(
-                            f"conditions: expected {expect['conditions']}, got {actual}")
+                need("conditions", [field.coeff_str(c.expr)
+                                    for c in res["conditions"]], sorted)
             elif op == "sequence":
                 seq = build_sequence(matrix, order=order, session=session)
                 need("orders", seq.orders)
@@ -232,12 +156,12 @@ def run_case(name, directory=None):
                 basis = complete(matrix, order=order, session=session.copy(),
                                  track_src=False)
                 for item in expect.get("elements", ()):
-                    row = _parse_row(field, item["element"], matrix.col_labels)
+                    row = parse_row(field, item["element"], matrix.col_labels)
                     if basis.contains(row):
                         details.append(
                             f"claimed torsion element reduces: {item['element']}")
                     # annihilator written applied to a placeholder, e.g. d2(z0)
-                    ann = _parse_row(field, item["annihilator"], ["z0"])[0]
+                    ann = parse_row(field, item["annihilator"], ["z0"])[0]
                     moved = [ann * e for e in row]
                     if not basis.contains(moved):
                         details.append(
@@ -254,7 +178,7 @@ def run_case(name, directory=None):
                 if "generated_by" in expect:
                     labels = report.generators.col_labels
                     width = report.generators.cols
-                    given = [_parse_row(field, t, labels)
+                    given = [parse_row(field, t, labels)
                              for t in expect["generated_by"]]
                     image_rows = ([report.image.row(i)
                                    for i in range(report.image.rows)]
@@ -276,7 +200,7 @@ def run_case(name, directory=None):
                         details.append("given generators escape computed ones")
                 for item in expect.get("torsion_elements", ()):
                     labels = report.generators.col_labels
-                    row = _parse_row(field, item["element"], labels)
+                    row = parse_row(field, item["element"], labels)
                     b_img = _row_module_basis(
                         field, [report.image.row(i)
                                 for i in range(report.image.rows)],
@@ -284,7 +208,7 @@ def run_case(name, directory=None):
                     if b_img.contains(row):
                         details.append(
                             f"claimed generator lies in the image: {item['element']}")
-                    ann = _parse_row(field, item["annihilator"], ["z0"])[0]
+                    ann = parse_row(field, item["annihilator"], ["z0"])[0]
                     if not b_img.contains([ann * e for e in row]):
                         details.append(
                             f"annihilator identity fails: {item['element']}")
@@ -293,7 +217,7 @@ def run_case(name, directory=None):
                 need("certified", res.certified)
                 need("rank_bound", res.minimal_rank_bound)
                 if "candidate_rows" in expect:
-                    cand_rows = [_parse_row(field, t, ["phi"])
+                    cand_rows = [parse_row(field, t, ["phi"])
                                  for t in expect["candidate_rows"]]
                     cand = OpMatrix.from_rows(field, cand_rows, 1,
                                               col_labels=["phi"])
@@ -312,11 +236,11 @@ def run_case(name, directory=None):
                     if "left_inverse" in expect:
                         L = OpMatrix.from_rows(
                             field,
-                            [_parse_row(field, expect["left_inverse"],
+                            [parse_row(field, expect["left_inverse"],
                                         matrix.col_labels)],
                             matrix.cols, col_labels=matrix.col_labels)
                         got = L.compose(cand)
-                        want = _parse_row(field, expect["left_inverse_result"],
+                        want = parse_row(field, expect["left_inverse_result"],
                                           ["phi"])
                         if not all((a - b).is_zero for a, b in
                                    zip(got.row(0), want)):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 
 import sympy as sp
 
-from .field import DiffField, DiffmodError, RatFunc
+from .field import DiffField, DiffmodError, RatFunc, Session
 from .ops import OpMatrix, ScalarOp, TermOrder, mono_str
 
 
@@ -304,9 +304,8 @@ def parse_system(text):
 class _Lin:
     """Value of an expression: coeff + sum_k op_k(unknown_k)."""
 
-    def __init__(self, field, unknowns, coeff=None, ops=None):
+    def __init__(self, field, coeff=None, ops=None):
         self.field = field
-        self.unknowns = unknowns
         self.coeff = coeff if coeff is not None else field.zero
         self.ops = ops or {}
 
@@ -322,30 +321,28 @@ class _Lin:
         return ops
 
     def add(self, other):
-        return _Lin(self.field, self.unknowns, self.coeff + other.coeff,
+        return _Lin(self.field, self.coeff + other.coeff,
                     self._zip(other, lambda a, b: a + b))
 
     def neg(self):
-        return _Lin(self.field, self.unknowns, -self.coeff,
+        return _Lin(self.field, -self.coeff,
                     {k: -v for k, v in self.ops.items()})
 
-    def mul(self, other, span):
+    def mul(self, other):
         if not self.is_pure_coeff() and not other.is_pure_coeff():
-            raise ElaborationError(
-                f"nonlinear term: product of unknowns near offset {span[0]}")
+            raise ElaborationError("nonlinear term: product of unknowns")
         if other.is_pure_coeff():
             self, other = other, self
         c = self.coeff
         ops = {k: v.scale(c) for k, v in other.ops.items()}
         ops = {k: v for k, v in ops.items() if not v.is_zero}
-        return _Lin(self.field, self.unknowns, c * other.coeff, ops)
+        return _Lin(self.field, c * other.coeff, ops)
 
-    def div(self, other, span):
+    def div(self, other):
         if not other.is_pure_coeff():
-            raise ElaborationError(
-                f"division by an unknown near offset {span[0]}")
+            raise ElaborationError("division by an unknown")
         inv = self.field.one / other.coeff
-        return _Lin(self.field, self.unknowns, self.coeff * inv,
+        return _Lin(self.field, self.coeff * inv,
                     {k: v.scale(inv) for k, v in self.ops.items()})
 
     def deriv(self, indices):
@@ -353,8 +350,7 @@ class _Lin:
         c = self.coeff
         for i in indices:
             c = c.derive(i)
-        return _Lin(self.field, self.unknowns, c,
-                    {k: mono * v for k, v in self.ops.items()})
+        return _Lin(self.field, c, {k: mono * v for k, v in self.ops.items()})
 
 
 class UnknownIdentifier(ElaborationError):
@@ -365,55 +361,66 @@ class IndexOutOfRange(ElaborationError):
     pass
 
 
-def _eval(node, field, decl, names):
+def _eval(node, field, unknowns):
+    """Value of an expression tree over the field, linear in the unknowns
+    (a list of names); every other name must be declared in the field."""
     kind = node[0]
     if kind == "num":
-        return _Lin(field, decl.unknowns, coeff=field.ratfunc(sp.Rational(node[1])))
+        return _Lin(field, field.ratfunc(sp.Rational(node[1])))
     if kind == "name":
         name, span = node[1], node[2]
-        if name in decl.unknowns:
-            k = decl.unknowns.index(name)
-            return _Lin(field, decl.unknowns,
-                        ops={k: ScalarOp.constant(field, 1)})
-        if name in names:
-            return _Lin(field, decl.unknowns, coeff=field.ratfunc(names[name]))
-        raise UnknownIdentifier(f"unknown identifier {name!r} at {span[0]}")
+        if name in unknowns:
+            return _Lin(field, ops={unknowns.index(name):
+                                    ScalarOp.constant(field, 1)})
+        try:
+            return _Lin(field, field.ratfunc(field.symbol(name)))
+        except KeyError:
+            raise UnknownIdentifier(
+                f"unknown identifier {name!r} at {span[0]}") from None
     if kind == "neg":
-        return _eval(node[1], field, decl, names).neg()
+        return _eval(node[1], field, unknowns).neg()
     if kind == "pow":
-        base = _eval(node[1], field, decl, names)
+        base, e = _eval(node[1], field, unknowns), node[2]
         if not base.is_pure_coeff():
             raise ElaborationError("cannot raise an unknown to a power")
-        e = node[2]
-        if e >= 0:
-            c = field.one
-            for _ in range(e):
-                c = c * base.coeff
-        else:
-            c = field.one
-            for _ in range(-e):
-                c = c / base.coeff
-        return _Lin(field, decl.unknowns, coeff=c)
+        c = field.one
+        for _ in range(abs(e)):
+            c = c * base.coeff if e > 0 else c / base.coeff
+        return _Lin(field, c)
     if kind == "bin":
-        op, a, b = node[1], node[2], node[3]
-        va = _eval(a, field, decl, names)
-        vb = _eval(b, field, decl, names)
+        op = node[1]
+        va, vb = (_eval(x, field, unknowns) for x in node[2:])
         if op == "+":
             return va.add(vb)
         if op == "-":
             return va.add(vb.neg())
         if op == "*":
-            return va.mul(vb, (0, 0))
+            return va.mul(vb)
         if op == "/":
-            return va.div(vb, (0, 0))
+            return va.div(vb)
     if kind == "deriv":
         indices = node[1]
         for i in indices:
             if not 1 <= i <= field.n:
                 raise IndexOutOfRange(
                     f"derivative index {i} exceeds {field.n} variables")
-        return _eval(node[2], field, decl, names).deriv(indices)
+        return _eval(node[2], field, unknowns).deriv(indices)
     raise ElaborationError(f"cannot elaborate node {kind!r}")
+
+
+def _coefficient(node, field, unknowns, what):
+    value = _eval(node, field, unknowns)
+    if not value.is_pure_coeff():
+        raise ElaborationError(f"{what} must be coefficient expressions")
+    return value.coeff
+
+
+def _operator_row(value, ncols, what):
+    if not value.coeff.is_zero:
+        raise ElaborationError(
+            f"{what} has a non-operator part ({value.coeff}); systems must "
+            "be linear homogeneous in the unknowns")
+    return [value.ops.get(k, ScalarOp.zero(value.field)) for k in range(ncols)]
 
 
 def elaborate(decl):
@@ -424,63 +431,183 @@ def elaborate(decl):
     """
     field = DiffField(var_names=decl.vars, params=decl.params,
                       func_params=decl.func_params)
-    names = {}
-    for group in (decl.vars, decl.params, decl.func_params):
-        for name in group:
-            names[name] = field.symbol(name)
     for indices, target, rhs in decl.relations:
+        if target not in field.func_param_names:
+            raise UnknownIdentifier(f"relation on {target!r}, which is not "
+                                    "a declared funcparam")
         mu = [0] * field.n
         for i in indices:
             if not 1 <= i <= field.n:
                 raise IndexOutOfRange(f"relation index {i} out of range")
             mu[i - 1] += 1
-        value = _eval(rhs, field, decl, names)
-        if not value.is_pure_coeff():
-            raise ElaborationError("relation right side must be coefficient-only")
-        field.add_rule(target, tuple(mu), value.coeff)
-    assumptions = []
-    for node in decl.assumptions:
-        value = _eval(node, field, decl, names)
-        if not value.is_pure_coeff():
-            raise ElaborationError("assumptions must be coefficient expressions")
-        assumptions.append(value.coeff)
+        if (target, tuple(mu)) in field.rules:
+            raise ElaborationError(
+                f"second relation for {mono_str(tuple(mu))}({target})")
+        field.add_rule(target, tuple(mu),
+                       _coefficient(rhs, field, decl.unknowns,
+                                    "relation right sides"))
+    _check_relations(field)
+    assumptions = [_coefficient(node, field, decl.unknowns, "assumptions")
+                   for node in decl.assumptions]
     members = []
     rows = []
     for eq in decl.equations:
-        value = _eval(eq.expr, field, decl, names)
-        if not value.coeff.is_zero:
-            raise ElaborationError(
-                f"equation {eq.label} has a non-operator part "
-                f"({value.coeff}); systems must be linear homogeneous "
-                "in the unknowns")
+        value = _eval(eq.expr, field, decl.unknowns)
+        row = _operator_row(value, len(decl.unknowns), f"equation {eq.label}")
         if eq.member in members:
             raise ElaborationError(f"duplicate second member {eq.member}")
         members.append(eq.member)
-        rows.append([value.ops.get(k, ScalarOp.zero(field))
-                     for k in range(len(decl.unknowns))])
+        rows.append(row)
     matrix = OpMatrix.from_rows(field, rows, len(decl.unknowns),
                                 row_labels=members,
                                 col_labels=list(decl.unknowns))
-    eq_labels = [eq.label for eq in decl.equations]
     var_seq = None
     if decl.var_seq is not None:
+        if not set(decl.var_seq) <= set(decl.vars):
+            raise UnknownIdentifier(f"order names {decl.var_seq}, not all "
+                                    f"among the variables {decl.vars}")
         var_seq = tuple(decl.vars.index(v) + 1 for v in decl.var_seq)
     order = TermOrder(kind=decl.order_kind or "degrevlex", var_seq=var_seq)
     meta = {
         "assumptions": assumptions,
         "splits": list(decl.splits),
         "order": order,
-        "equation_labels": eq_labels,
         "name": decl.name,
     }
     return field, matrix, meta
 
 
+def _check_relations(field):
+    """Reject relations whose cross-derivatives disagree.
+
+    Two rules on one funcparam, d^a(f) = r and d^b(f) = s, both rewrite
+    d^m(f) at m = max(a, b); the derivations commute only if
+    d^(m-a)(r) and d^(m-b)(s) agree once every rule has been applied.
+    """
+    rules = sorted(field.rules.items())
+    for k, ((name, a), r) in enumerate(rules):
+        for (other, b), s in rules[k + 1:]:
+            if other != name:
+                continue
+            m = tuple(max(x, y) for x, y in zip(a, b))
+            lhs, rhs = RatFunc(field, r), RatFunc(field, s)
+            for i in range(field.n):
+                for _ in range(m[i] - a[i]):
+                    lhs = lhs.derive(i + 1)
+                for _ in range(m[i] - b[i]):
+                    rhs = rhs.derive(i + 1)
+            if lhs != rhs:
+                raise ElaborationError(
+                    f"relations on {name} disagree at {mono_str(m)}({name}): "
+                    f"{field.coeff_str(lhs)} against {field.coeff_str(rhs)}")
+
+
+def parse_row(field, text, labels):
+    """Read an operator row such as 'd2(u) - x1*v' over the given unknowns.
+
+    Returns one ScalarOp per label, in label order.
+    """
+    parser = _Parser(text)
+    node = parser._expr()
+    parser.expect("eof")
+    value = _eval(node, field, list(labels))
+    return _operator_row(value, len(labels), f"row {text!r}")
+
+
+# ---------------------------------------------------------------------------
+# problems
+
+@dataclass
+class Problem:
+    """Everything a computation on one system needs.
+
+    field and matrix are specialised to the case (a dict param -> value);
+    the session holds the nonzero assumptions and the split parameters
+    left undecided; order is the term order to complete with.
+    """
+    field: DiffField
+    matrix: OpMatrix
+    session: Session
+    order: TermOrder
+    case: dict
+    meta: dict
+
+
+def _assumption(text, field):
+    """Read one assumption item: ('nonzero', node) or ('case', (param, k))."""
+    parser = _Parser(text)
+    node = parser._expr()
+    if parser.peek().text == "=":
+        parser.next()
+        k = _coefficient(parser._expr(), field, (), "case values").expr
+        parser.expect("eof")
+        if node[0] != "name" or node[1] not in field.param_names \
+                or not k.is_Integer:
+            raise ElaborationError(
+                f"a case reads 'param=k' with k an integer and param one of "
+                f"the declared parameters ({', '.join(field.param_names)})")
+        return "case", (node[1], int(k))
+    if parser.peek().text == "!=":
+        parser.next()
+        z = parser.expect("num")
+        if z.text != "0":
+            raise ParseError("nonzero assumptions read 'expr!=0'",
+                             span=z.span, expected=["0"])
+    parser.expect("eof")
+    return "nonzero", node
+
+
+def load_problem(system, assume=(), var_seq=None):
+    """Build the Problem of an elaborated system.
+
+    system is the (field, matrix, meta) triple of `elaborate`.  Each
+    assume item reads 'expr!=0' or 'expr', a nonzero assumption written in
+    the .dms expression grammar (so d1(a) is a funcparam derivative), or
+    'param=k', the case param = k for a declared parameter and an integer
+    k.  var_seq, a permutation of 1..n, replaces the variable priority of
+    the declared term order.
+    """
+    field, matrix, meta = system
+    case, nonzero = {}, []
+    for text in assume:
+        kind, value = _assumption(text, field)
+        if kind == "case":
+            case[value[0]] = value[1]
+        else:
+            nonzero.append(_coefficient(value, field, matrix.col_labels,
+                                        "assumptions"))
+    assumptions = list(meta["assumptions"])
+    if case:
+        mapping = {field.symbol(k): v for k, v in case.items()}
+        matrix = matrix.specialize(case)
+        field = matrix.field
+
+        def remap(group):
+            return [RatFunc(field, a.expr.xreplace(mapping)) for a in group]
+
+        assumptions, nonzero = remap(assumptions), remap(nonzero)
+        if any(a.is_zero for a in nonzero):
+            raise ElaborationError(f"a nonzero assumption fails in the case "
+                                   f"{case}")
+        assumptions = [a for a in assumptions if not a.is_zero]
+    assumptions += nonzero
+    splits = [s for s in meta["splits"]
+              if s not in case and all(str(a.expr) != s for a in assumptions)]
+    session = Session(field, assume_nonzero=assumptions, split_params=splits,
+                      case=case)
+    order = meta["order"]
+    if var_seq is not None:
+        order = TermOrder(kind=order.kind, var_seq=tuple(var_seq))
+    if order.var_seq and sorted(order.var_seq) != list(range(1, field.n + 1)):
+        raise DiffmodError(f"variable order {list(order.var_seq)} is not a "
+                           f"permutation of 1..{field.n}")
+    return Problem(field, matrix, session, order, case, meta)
+
+
 # ---------------------------------------------------------------------------
 # rendering
 
-def render_system(matrix, decl_name="", params=(), func_params=(),
-                  assumptions=(), relations=(), splits=()):
+def render_system(matrix, decl_name="", assumptions=(), splits=()):
     """Render an operator matrix back to .dms source.
 
     parse(render(A)) elaborates to a matrix equal to A.
@@ -497,7 +624,7 @@ def render_system(matrix, decl_name="", params=(), func_params=(),
         lines.append("funcparams " + ", ".join(field.func_param_names) + ";")
     for a in assumptions:
         lines.append(f"assume {_coeff_text(field, a)} != 0;")
-    for (fname, base), rhs in getattr(field, "rules", {}).items():
+    for (fname, base), rhs in field.rules.items():
         lines.append(
             f"rel {mono_str(base)}({fname}) = "
             f"{_coeff_text(field, RatFunc(field, rhs))};")

@@ -232,6 +232,17 @@ class DiffField:
         return new, mapping
 
 
+def _poly_gens(expr):
+    """Polynomial generators of a coefficient: its funcparam derivatives,
+    then its funcparams, then its symbols, each group in sympy's sort
+    order.  Factor order and the sign of a canonical factor follow this
+    order, so they do not depend on the hash seed."""
+    atoms = expr.free_symbols | expr.atoms(sp.Function, sp.Derivative)
+    return sorted(atoms, key=lambda a: (not isinstance(a, sp.Derivative),
+                                        not isinstance(a, sp.Function),
+                                        sp.default_sort_key(a)))
+
+
 class RatFunc:
     """Element of the field, stored as a cancelled sympy expression."""
 
@@ -251,9 +262,6 @@ class RatFunc:
     @property
     def is_one(self):
         return self.expr == 1
-
-    def is_rational_constant(self):
-        return self.expr.is_Rational
 
     def free_of_parameters(self):
         """True when the element lies in Q(x1..xn) only."""
@@ -331,18 +339,9 @@ class RatFunc:
         factors lying in Q(x) are honest units of the field and dropped.
         """
         numer, _ = self.numer_denom()
-        # factor over the rational with derivative atoms frozen as dummies
-        frozen = {}
-        for atom in numer.atoms(sp.Derivative):
-            frozen[atom] = sp.Dummy()
-        for atom in numer.atoms(sp.Function):
-            if not isinstance(atom, sp.Derivative):
-                frozen[atom] = sp.Dummy()
-        thaw = {v: k for k, v in frozen.items()}
         factors = []
-        _, flist = sp.factor_list(numer.xreplace(frozen))
+        _, flist = sp.factor_list(numer, *_poly_gens(numer))
         for fac, _mult in flist:
-            fac = fac.xreplace(thaw)
             rf = RatFunc(self.field, fac)
             if rf.free_of_parameters():
                 continue
@@ -353,21 +352,13 @@ class RatFunc:
         """Scale to a canonical representative (primitive, fixed sign)."""
         numer, denom = self.numer_denom()
         expr = sp.cancel(numer / sp.S.One) if denom.is_Rational else self.expr
-        frozen = {}
-        for atom in itertools.chain(expr.atoms(sp.Derivative),
-                                    (a for a in expr.atoms(sp.Function)
-                                     if not isinstance(a, sp.Derivative))):
-            frozen.setdefault(atom, sp.Dummy())
-        thaw = {v: k for k, v in frozen.items()}
-        work = expr.xreplace(frozen)
-        gens = sorted(work.free_symbols, key=sp.default_sort_key)
+        gens = _poly_gens(expr)
         if not gens:
             return RatFunc(self.field, sp.S.One)
-        poly = sp.Poly(work, *gens)
-        _, prim = poly.primitive()
+        _, prim = sp.Poly(expr, *gens).primitive()
         if prim.LC() < 0:
             prim = -prim
-        return RatFunc(self.field, prim.as_expr().xreplace(thaw))
+        return RatFunc(self.field, prim.as_expr())
 
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
@@ -428,9 +419,6 @@ class Session:
         s.assumed = list(self.assumed)
         s.provisos = list(self.provisos)
         return s
-
-    def assume(self, f):
-        self.assumed.append(self.field.ratfunc(f).canonical_factor())
 
     def _covered(self, factor):
         for g in self.assumed:

@@ -14,8 +14,8 @@ import os
 from dataclasses import dataclass, field as dc_field
 
 from .field import ResourceLimit, Session
-from .ops import (DEFAULT_ORDER, OpMatrix, ScalarOp, TermOrder, mono_le,
-                  mono_order, mono_str, mono_sub)
+from .ops import (DEFAULT_ORDER, OpMatrix, ScalarOp, mono_le, mono_order,
+                  mono_str, mono_sub)
 
 
 def _env_int(name, default):

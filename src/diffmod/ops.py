@@ -13,8 +13,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import sympy as sp
-
 from .field import RatFunc
 
 
@@ -154,9 +152,6 @@ class ScalarOp:
         if not self.terms:
             return -1
         return max(mono_order(mu) for mu in self.terms)
-
-    def coeff(self, mu):
-        return self.terms.get(tuple(mu), self.field.zero)
 
     def lead(self, order=DEFAULT_ORDER):
         if not self.terms:
@@ -411,9 +406,6 @@ class OpMatrix:
 
     def row(self, i):
         return list(self.entries[i])
-
-    def column(self, j):
-        return [self.entries[i][j] for i in range(self.rows)]
 
     def stack(self, other):
         if other.cols != self.cols:

@@ -12,11 +12,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .field import ResourceLimit, Session
 from .janet import complete
-from .ops import DEFAULT_ORDER, OpMatrix, mono_order
-
-
-def _row_order(entries):
-    return max((e.order for e in entries), default=-1)
+from .ops import DEFAULT_ORDER, OpMatrix
 
 
 def _minimalize(field, rows, ncols, order, session, labels):
@@ -69,18 +65,23 @@ def compatibility_conditions(A, order=None, session=None, **limits):
     result is the identity on the second members in input order, its rows
     labelled z1..zp.
     """
-    order = order or DEFAULT_ORDER
+    return _cc_and_completion(A, order or DEFAULT_ORDER,
+                              session or Session(A.field), **limits)[0]
+
+
+def _cc_and_completion(A, order, session, **limits):
+    """(CC of A, the tracked completion of A or None if none was needed)."""
     field = A.field
-    session = session or Session(field)
     if A.cols == 0 or (A.rows and A.is_zero):
-        return OpMatrix.identity(field, A.rows, col_labels=A.row_labels,
-                                 row_labels=[f"z{i+1}" for i in range(A.rows)])
+        ident = OpMatrix.identity(field, A.rows, col_labels=A.row_labels,
+                                  row_labels=[f"z{i+1}" for i in range(A.rows)])
+        return ident, None
     if A.rows == 0:
-        return OpMatrix.zero(field, 0, 0)
+        return OpMatrix.zero(field, 0, 0), None
     basis = complete(A, order=order, session=session, track_src=True, **limits)
     raw = [r for r in basis.trace.cc_rows]
     if not raw:
-        return OpMatrix.zero(field, 0, A.rows, col_labels=A.row_labels)
+        return OpMatrix.zero(field, 0, A.rows, col_labels=A.row_labels), basis
     # The raw syzygies generate, but the unexpectedly low-order conditions
     # are D-combinations of them: complete the syzygy module first, then
     # extract a minimal generating subset from its involutive basis.
@@ -91,8 +92,8 @@ def compatibility_conditions(A, order=None, session=None, **limits):
     kept = _minimalize(field, candidates, A.rows, order, session, A.row_labels)
     kept = [_monic_row(field, r, A.rows, order, session) for r in kept]
     labels = [f"z{i+1}" for i in range(len(kept))]
-    return OpMatrix.from_rows(field, kept, A.rows,
-                              row_labels=labels, col_labels=A.row_labels)
+    return OpMatrix.from_rows(field, kept, A.rows, row_labels=labels,
+                              col_labels=A.row_labels), basis
 
 
 @dataclass
@@ -129,15 +130,17 @@ class DiffSequence:
         return sum((-1) ** i * d for i, d in enumerate(dims))
 
 
-def classify_operator(A, order=None, session=None, **limits):
-    """(formally_integrable, involutive) flags for one operator.
+def classify_operator(A, basis, order=None):
+    """(formally_integrable, involutive) flags of A from its completion.
 
     Involutive means completion returns the autoreduced input unchanged:
-    every basis lead already appears among the input rows' leads.
+    every basis lead already appears among the input rows' leads.  A
+    basis of None stands for an operator that needs no completion (zero,
+    or without rows or columns); it is both.
     """
+    if basis is None:
+        return True, True
     order = order or DEFAULT_ORDER
-    session = session or Session(A.field)
-    basis = complete(A, order=order, session=session, track_src=False, **limits)
     formally_integrable = not basis.trace.integrability_conditions
     added = {r.lead for r in basis.rows}
     input_leads = set()
@@ -147,7 +150,7 @@ def classify_operator(A, order=None, session=None, **limits):
             continue
         input_leads.add(_lead_of(mat, order))
     involutive = added <= input_leads
-    return formally_integrable, involutive, basis
+    return formally_integrable, involutive
 
 
 def build_sequence(A, max_steps=None, order=None, session=None, **limits):
@@ -167,12 +170,10 @@ def build_sequence(A, max_steps=None, order=None, session=None, **limits):
     certificates = []
     terminated = False
     while True:
-        fi, inv, _ = classify_operator(ops[-1], order=order,
-                                       session=session, **limits)
+        cc, basis = _cc_and_completion(ops[-1], order, session, **limits)
+        fi, inv = classify_operator(ops[-1], basis, order)
         per_op.append({"formally_integrable": fi, "involutive": inv,
                        "order": ops[-1].order})
-        cc = compatibility_conditions(ops[-1], order=order, session=session,
-                                      **limits)
         if cc.rows == 0:
             terminated = True
             break

@@ -3,8 +3,8 @@ import random
 import pytest
 import sympy as sp
 
-from diffmod.dsl import elaborate, parse_system
-from diffmod.field import DiffField, RatFunc, Session
+from diffmod.dsl import elaborate, load_problem, parse_system
+from diffmod.field import DiffField, RatFunc
 from diffmod.ops import OpMatrix, ScalarOp
 
 
@@ -23,11 +23,9 @@ def load_corpus_system(name):
     return elaborate(parse_system(src))
 
 
-def corpus_session(field, meta, extra=()):
-    assume = list(meta["assumptions"]) + [field.ratfunc(t) for t in extra]
-    splits = [s for s in meta["splits"]
-              if not any(str(a.expr) == s for a in assume)]
-    return Session(field, assume_nonzero=assume, split_params=splits)
+def corpus_session(field, matrix, meta, extra=()):
+    """Session of a corpus system, extra being --assume style items."""
+    return load_problem((field, matrix, meta), extra).session
 
 
 @pytest.fixture

@@ -150,3 +150,45 @@ def test_spencer_conformal_n6(capsys):
                                      "--n", "6"])
     assert code == 0
     assert report["payload"]["dims"] == [6, 20, 84, 140, 84, 20, 6]
+
+
+@pytest.mark.parametrize("extra", [
+    ["--assume", "q*x1"],
+    ["--assume", "c=x1"],
+    ["--assume", "q=0"],
+    ["--assume", "c+"],
+    ["--order-vars", "1,2,3"],
+    ["--order-vars", "a,b"],
+    ["--order-vars", "1,1"],
+])
+def test_bad_assume_and_order_are_errors_not_tracebacks(capsys, extra):
+    argv = ["complete", corpus_path("oneform_area_lie"), *extra]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+ENVELOPE_PAYLOADS = {
+    "sequence": {"shape": [1, 2, 1], "orders": [2, 2]},
+    "duality": {"torsion_free": True},
+    "torsion": {"generators": []},
+    "parametrize": {"certified": True, "minimal_rank_bound": 0},
+}
+
+
+@pytest.mark.parametrize("command", [
+    "complete", "cc", "sequence", "adjoint", "rank", "duality", "torsion",
+    "ext", "parametrize"])
+def test_file_command_envelope(capsys, command):
+    extra = ["--i", "1"] if command == "ext" else []
+    code, report = run_json(capsys, [
+        command, corpus_path("unexpected_cc_pair"), *extra])
+    assert code == 0
+    assert set(report) == {"command", "input", "case", "payload", "provisos",
+                           "schema", "elapsed_ms"}
+    assert report["command"] == command
+    assert set(report["input"]) == {"path", "sha256"}
+    assert report["case"] == {} and report["provisos"] == []
+    for key, value in ENVELOPE_PAYLOADS.get(command, {}).items():
+        assert report["payload"][key] == value

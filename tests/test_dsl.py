@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffmod.dsl import (ElaborationError, ParseError, elaborate,
-                         parse_system, render_system)
+from diffmod.dsl import (ElaborationError, ParseError, UnknownIdentifier,
+                         elaborate, load_problem, parse_row, parse_system,
+                         render_system)
+from diffmod.field import DiffmodError, RatFunc
 from diffmod.ops import OpMatrix
 from conftest import CORPUS_NAMES, load_corpus_system
 
@@ -79,7 +81,7 @@ def test_round_trip_over_corpus(name):
 
 
 def _transplant(field, op):
-    from diffmod.field import RatFunc
+    from diffmod.field import DiffmodError, RatFunc
     from diffmod.ops import ScalarOp
     return ScalarOp(field, {mu: RatFunc(field, c.expr)
                             for mu, c in op.terms.items()})
@@ -102,3 +104,65 @@ def test_fuzz_parser_bytes(data):
         parse_system(data)
     except (ParseError, ElaborationError, UnicodeDecodeError):
         pass
+
+
+def test_load_problem_reads_assumptions_in_dms_grammar():
+    # d1(alpha) is the funcparam derivative, rewritten through the rel
+    system = load_corpus_system("od_lie_pair")
+    field = system[0]
+    problem = load_problem(system, ["d1(alpha)!=0"])
+    rhs = RatFunc(field, field.rules[("alpha", (1,))])
+    assert problem.session.assumed[-1] == rhs.canonical_factor()
+    assert problem.case == {}
+
+
+def test_load_problem_rejects_undeclared_names():
+    with pytest.raises(UnknownIdentifier):
+        load_problem(load_corpus_system("od_lie_pair"), ["q*x1"])
+
+
+def test_load_problem_case():
+    problem = load_problem(load_corpus_system("od_lie_pair"), ["c=0"])
+    assert problem.case == {"c": 0}
+    assert problem.field.param_names == ()
+    assert problem.session.case == {"c": 0}
+
+
+def test_load_problem_order_is_a_permutation():
+    system = load_corpus_system("unimodular_oneform")
+    assert load_problem(system, var_seq=(2, 3, 1)).order.var_seq == (2, 3, 1)
+    with pytest.raises(DiffmodError):
+        load_problem(system, var_seq=(1, 1, 2))
+
+
+def test_parse_row_matches_elaboration():
+    field, matrix, _ = load_corpus_system("od_lie_pair")
+    text = "d1(y) + alpha*y"
+    _, single, _ = elaborate(parse_system(
+        "vars x; params c; funcparams alpha, gamma; unknowns y; "
+        f"P: {text} = u;"))
+    row = parse_row(field, text, ["y"])
+    assert [{mu: c.expr for mu, c in e.terms.items()} for e in row] == \
+        [{mu: c.expr for mu, c in e.terms.items()} for e in single.row(0)]
+
+
+def test_inconsistent_relations_rejected():
+    # d1 d2 a = d1(x1*a) = x1*a + a, but d2 d1 a = d2(a) = x1*a
+    src = ("vars x1, x2; funcparams a; unknowns y; "
+           "rel d1(a) = a; rel d2(a) = x1*a; P: d1(y) = u;")
+    with pytest.raises(ElaborationError, match=r"d12\(a\)"):
+        elaborate(parse_system(src))
+
+
+def test_second_relation_on_one_derivative_rejected():
+    src = ("vars x1, x2; funcparams a; unknowns y; "
+           "rel d1(a) = a; rel d1(a) = x2*a; P: d1(y) = u;")
+    with pytest.raises(ElaborationError, match=r"d1\(a\)"):
+        elaborate(parse_system(src))
+
+
+def test_commuting_relations_accepted():
+    src = ("vars x1, x2; funcparams a; unknowns y; "
+           "rel d1(a) = a; rel d2(a) = x2*a; P: d1(y) = u;")
+    field, _, _ = elaborate(parse_system(src))
+    assert len(field.rules) == 2

@@ -30,7 +30,7 @@ def test_kernel_analysis_builtin_condition():
 def test_kernel_analysis_pendulum():
     field, matrix, meta = load_corpus_system("double_pendulum")
     res = kernel_analysis(matrix.adjoint(),
-                          session=corpus_session(field, meta))
+                          session=corpus_session(field, matrix, meta))
     assert res["status"] == "conditional"
     (cond,) = res["conditions"]
     assert cond == field.ratfunc("l1 - l2")
@@ -132,7 +132,7 @@ def test_ext_flags_match_for_both_resolutions():
 
 def test_ext_reports_of_od_lie_pair():
     field, matrix, meta = load_corpus_system("od_lie_pair")
-    sess = corpus_session(field, meta)
+    sess = corpus_session(field, matrix, meta)
     seq = build_sequence(matrix, session=sess)
     e1 = ext_module(seq, 1, session=sess.copy())
     assert not e1.vanishing

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+import diffmod
 from diffmod.field import (CaseSplitRequired, DiffField, DivisionByZero,
                            RatFunc, Session, is_zero_under)
 
@@ -146,3 +152,22 @@ def test_specialize():
 def test_name_clash_rejected():
     with pytest.raises(ValueError):
         DiffField(2, params=["x1"])
+
+
+def test_canonical_factor_does_not_depend_on_the_hash_seed():
+    code = (
+        "import sympy as sp\n"
+        "from diffmod.field import DiffField, RatFunc\n"
+        "F = DiffField(var_names=['x1', 'x2'], func_params=['alpha1', 'beta'])\n"
+        "a, b = F.symbol('alpha1'), F.symbol('beta')\n"
+        "x1 = F.vars[0]\n"
+        "e = b * sp.diff(a, x1) - a * sp.diff(b, x1)\n"
+        "print(F.coeff_str(RatFunc(F, e).canonical_factor()))\n")
+    src = str(Path(diffmod.__file__).resolve().parents[1])
+    out = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out.add(subprocess.run([sys.executable, "-c", code], env=env,
+                               capture_output=True, text=True,
+                               check=True).stdout)
+    assert len(out) == 1

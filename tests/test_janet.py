@@ -53,7 +53,8 @@ def test_janet_criterion_on_corpus():
     for name in ("finite_type_pair", "unexpected_cc_pair", "killing_flat_n2",
                  "contact_pfaffian", "unimodular_flat"):
         field, matrix, meta = load_corpus_system(name)
-        basis = complete(matrix, session=corpus_session(field, meta))
+        basis = complete(matrix,
+                         session=corpus_session(field, matrix, meta))
         assert basis.verify_involutive(), name
 
 

@@ -144,7 +144,7 @@ def test_differential_rank_examples():
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_rank_equals_adjoint_rank_across_corpus(name):
     field, matrix, meta = load_corpus_system(name)
-    sess = corpus_session(field, meta,
+    sess = corpus_session(field, matrix, meta,
                           extra=["c"] if "c" in field.param_names else [])
     r = differential_rank(matrix, session=sess.copy())
     r_ad = differential_rank(matrix.adjoint(), session=sess.copy())
