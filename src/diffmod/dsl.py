@@ -623,22 +623,17 @@ def render_system(matrix, decl_name="", assumptions=(), splits=()):
     if field.func_param_names:
         lines.append("funcparams " + ", ".join(field.func_param_names) + ";")
     for a in assumptions:
-        lines.append(f"assume {_coeff_text(field, a)} != 0;")
+        lines.append(f"assume {field.coeff_str(a)} != 0;")
     for (fname, base), rhs in field.rules.items():
         lines.append(
             f"rel {mono_str(base)}({fname}) = "
-            f"{_coeff_text(field, RatFunc(field, rhs))};")
+            f"{field.coeff_str(RatFunc(field, rhs))};")
     if splits:
         lines.append("split " + ", ".join(splits) + ";")
     for i in range(matrix.rows):
         body = _row_text(matrix, i)
         lines.append(f"E{i+1}: {body} = {matrix.row_labels[i]};")
     return "\n".join(lines) + "\n"
-
-
-def _coeff_text(field, c):
-    expr = c.expr if isinstance(c, RatFunc) else sp.sympify(c)
-    return field.coeff_str(expr)
 
 
 def _row_text(matrix, i):
@@ -651,7 +646,7 @@ def _row_text(matrix, i):
             d = mono_str(mu)
             head = (f"{d}({matrix.col_labels[j]})" if d
                     else matrix.col_labels[j])
-            text = _coeff_text(field, c)
+            text = field.coeff_str(c)
             if text == "1":
                 term = head
             elif text == "-1":

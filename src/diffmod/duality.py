@@ -78,7 +78,7 @@ class ParametrizationResult:
     minimal_rank_bound: int
 
 
-def kernel_analysis(A, order=None, session=None, **limits):
+def kernel_analysis(A, order=None, session=None):
     """Formal solutions of the homogeneous system A(lam) = 0.
 
     Completes the system; injective when no parametric derivative is
@@ -87,7 +87,7 @@ def kernel_analysis(A, order=None, session=None, **limits):
     """
     order = order or DEFAULT_ORDER
     session = session or Session(A.field)
-    basis = complete(A, order=order, session=session, track_src=False, **limits)
+    basis = complete(A, order=order, session=session, track_src=False)
     count = count_parametric(basis)
     injective = count.finite_type and count.dim == 0
     conditions = list(session.provisos)
@@ -102,7 +102,7 @@ def kernel_analysis(A, order=None, session=None, **limits):
     }
 
 
-def double_duality_test(D1, order=None, session=None, **limits):
+def double_duality_test(D1, order=None, session=None):
     """The five-step torsion test on the module presented by D1.
 
     ad(D1) -> its CC (called ad of the parametrizing operator) -> adjoint
@@ -113,20 +113,16 @@ def double_duality_test(D1, order=None, session=None, **limits):
     field = D1.field
     session = session or Session(field)
     ad1 = D1.adjoint()
-    ad_d = compatibility_conditions(ad1, order=order, session=session, **limits)
+    ad_d = compatibility_conditions(ad1, order=order, session=session)
     D = ad_d.adjoint()
-    d1_prime = compatibility_conditions(D, order=order, session=session, **limits)
-    basis = complete(D1, order=order, session=session, track_src=False, **limits) \
+    d1_prime = compatibility_conditions(D, order=order, session=session)
+    basis = complete(D1, order=order, session=session, track_src=False) \
         if not D1.is_zero and D1.rows else None
     extra = []
     for i in range(d1_prime.rows):
         row = d1_prime.row(i)
-        if basis is None:
-            if not all(e.is_zero for e in row):
-                extra.append(OpMatrix.from_rows(field, [row], D1.cols,
-                                                col_labels=D1.col_labels))
-            continue
-        if not basis.contains(row):
+        rest = row if basis is None else basis.normal_form(row)
+        if not all(e.is_zero for e in rest):
             extra.append(OpMatrix.from_rows(field, [row], D1.cols,
                                             col_labels=D1.col_labels))
     return DualityResult(
@@ -139,7 +135,7 @@ def double_duality_test(D1, order=None, session=None, **limits):
     )
 
 
-def annihilator_of(row, presentation, order=None, session=None, **limits):
+def annihilator_of(row, presentation, order=None, session=None):
     """A nonzero P with P o row inside the row module of the presentation.
 
     Found through the syzygies of the stacked matrix [row; presentation]:
@@ -150,7 +146,7 @@ def annihilator_of(row, presentation, order=None, session=None, **limits):
     field = presentation.field
     session = session or Session(field)
     stacked = row.stack(presentation)
-    cc = compatibility_conditions(stacked, order=order, session=session, **limits)
+    cc = compatibility_conditions(stacked, order=order, session=session)
     candidates = []
     for i in range(cc.rows):
         P = cc.entries[i][0]
@@ -164,16 +160,15 @@ def annihilator_of(row, presentation, order=None, session=None, **limits):
                                  col_labels=presentation.row_labels)
 
 
-def torsion_submodule(presentation, order=None, session=None, **limits):
+def torsion_submodule(presentation, order=None, session=None):
     """Generating torsion certificates of M = coker(presentation)."""
     order = order or DEFAULT_ORDER
     session = session or Session(presentation.field)
-    result = double_duality_test(presentation, order=order, session=session,
-                                 **limits)
+    result = double_duality_test(presentation, order=order, session=session)
     certs = []
     for row in result.extra_cc:
         found = annihilator_of(row, presentation, order=order,
-                               session=session, **limits)
+                               session=session)
         if found is None:
             raise DiffmodError(
                 f"no annihilator found for extra CC row {row.row_string(0)}")
@@ -186,18 +181,16 @@ def torsion_submodule(presentation, order=None, session=None, **limits):
     return certs
 
 
-def _reduce_rows_mod(rows_matrix, image, order, session, **limits):
+def _reduce_rows_mod(rows_matrix, image, order, session):
     """Normal forms of each row of rows_matrix modulo the rows of image."""
     if image is None or image.rows == 0:
         return [rows_matrix.row(i) for i in range(rows_matrix.rows)]
-    basis = complete(image, order=order, session=session, track_src=False,
-                     **limits)
+    basis = complete(image, order=order, session=session, track_src=False)
     return [basis.normal_form(rows_matrix.row(i))
             for i in range(rows_matrix.rows)]
 
 
-def ext_module(sequence, i, order=None, session=None, case_context=None,
-               **limits):
+def ext_module(sequence, i, order=None, session=None, case_context=None):
     """ext^i of the module presented by sequence.ops[0].
 
     Computed as the cohomology of the adjoint chain: generators are the
@@ -223,7 +216,7 @@ def ext_module(sequence, i, order=None, session=None, case_context=None,
     image = ops[i - 1].adjoint() if i >= 1 else None
     if i < len(ops):
         gens = compatibility_conditions(ops[i].adjoint(), order=order,
-                                        session=session, **limits)
+                                        session=session)
         width = ops[i].rows
     else:
         # one step past a terminated resolution: the dual chain ends in 0,
@@ -235,7 +228,7 @@ def ext_module(sequence, i, order=None, session=None, case_context=None,
                                  col_labels=[f"m{k+1}" for k in range(width)])
     if gens.rows and image is not None and gens.cols != image.cols:
         raise DiffmodError("chain shapes do not match")
-    residues = _reduce_rows_mod(gens, image, order, session, **limits)
+    residues = _reduce_rows_mod(gens, image, order, session)
     vanishing = all(all(e.is_zero for e in r) for r in residues)
     torsion = []
     if not vanishing and image is not None:
@@ -244,8 +237,7 @@ def ext_module(sequence, i, order=None, session=None, case_context=None,
                 continue
             row = OpMatrix.from_rows(field, [gens.row(k)], gens.cols,
                                      col_labels=gens.col_labels)
-            found = annihilator_of(row, image, order=order, session=session,
-                                   **limits)
+            found = annihilator_of(row, image, order=order, session=session)
             if found is not None:
                 P, witness = found
                 torsion.append(TorsionCertificate(
@@ -263,7 +255,7 @@ def ext_module(sequence, i, order=None, session=None, case_context=None,
     )
 
 
-def parametrize(D1, order=None, session=None, **limits):
+def parametrize(D1, order=None, session=None):
     """Parametrizing operator of a torsion-free presentation.
 
     Returns the operator D from the double-duality test together with a
@@ -273,23 +265,23 @@ def parametrize(D1, order=None, session=None, **limits):
     order = order or DEFAULT_ORDER
     field = D1.field
     session = session or Session(field)
-    result = double_duality_test(D1, order=order, session=session, **limits)
+    result = double_duality_test(D1, order=order, session=session)
     if not result.torsion_free:
-        certs = torsion_submodule(D1, order=order, session=session, **limits)
+        certs = torsion_submodule(D1, order=order, session=session)
         raise NotParametrizable(certs)
     D = result.parametrizing
     certified = D1.compose(D).is_zero
     if D1.rows and not D1.is_zero:
         basis_prime = complete(result.d1_prime, order=order, session=session,
-                               track_src=False, **limits) \
+                               track_src=False) \
             if result.d1_prime.rows else None
         if basis_prime is not None:
             certified = certified and basis_prime.contains_matrix(D1)
         basis_d1 = complete(D1, order=order, session=session,
-                            track_src=False, **limits)
+                            track_src=False)
         certified = certified and basis_d1.contains_matrix(result.d1_prime)
     rank_m = D1.cols - differential_rank(D1, order=order,
-                                         session=session, **limits)
+                                         session=session)
     return ParametrizationResult(
         parametrizing=D,
         d1_prime=result.d1_prime,

@@ -1,22 +1,29 @@
 """Exact arithmetic in a differential field K = Q(params)(x1..xn).
 
-The field carries n commuting derivations d/dx_i, a list of named
-constants (killed by every derivation), and a list of named function
-parameters a(x1..xn) whose derivatives stay formal symbols unless a
-rewrite rule replaces them (e.g. the structure relation
-d1(alpha) = alpha*gamma + c*alpha^2 of a geometric object).
+The field has n commuting derivations d/dx_i, named constants and named
+function parameters a(x1..xn).  The jets a, d1(a), d12(a), ... of a
+funcparam are generators met on demand, d/dx_i is the total derivative
+d/dx_i + sum_mu (df/da_mu) a_{mu+1_i}, and a rewrite rule such as
+d1(alpha) = alpha*gamma + c*alpha^2 replaces a jet by its right side.
 
-Every element is kept in cancelled p/q normal form, so equality and the
-zero test are decidable.  Pivot inversions go through a Session, which
-records the nonzero provisos a computation consumed.
+An element is one cancelled fraction of sparse integer polynomials in the
+generators (a sympy FracElement), so equality and the zero test are
+exact; `RatFunc.expr` is a sympy view for printing.  Pivot inversions go
+through a Session, which records the nonzero provisos a computation
+consumed.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 import sympy as sp
+from sympy.polys.domains import ZZ
+from sympy.polys.fields import FracElement, FracField
+from sympy.polys.polyutils import _sort_gens
+from sympy.polys.rings import PolyRing
+
+from .ops import mono_str
 
 
 class DiffmodError(Exception):
@@ -51,8 +58,34 @@ class ResourceLimit(DiffmodError):
     pass
 
 
+# Nesting bound on rule evaluations while rewriting one jet; a cycle among
+# the rules (rel d1(a) = d1(b); rel d1(b) = d1(a);) runs into it.
+MAX_REWRITE_DEPTH = 64
+
+
 def _names(seq):
     return tuple(s if isinstance(s, str) else str(s) for s in seq)
+
+
+def _gen_key(g):
+    """Generator order: jets, then funcparams, then symbols, each in sympy's
+    sort order.  Factor order and the sign of a canonical factor follow it,
+    so they do not depend on the hash seed."""
+    return (not isinstance(g, sp.Derivative), not isinstance(g, sp.Function),
+            sp.default_sort_key(g))
+
+
+def _used(p):
+    """Generators occurring in a polynomial."""
+    return {s for s, d in zip(p.ring.symbols, p.degrees()) if d > 0}
+
+
+def _cancel_lc(p):
+    """Leading coefficient of p in the lex order sympy's cancel would use,
+    whose generator order is not the field's."""
+    pos = {p.ring.symbols[k]: k for k, d in enumerate(p.degrees()) if d > 0}
+    order = [pos[g] for g in _sort_gens(list(pos))]
+    return max(p.iterterms(), key=lambda t: [t[0][k] for k in order])[1]
 
 
 class DiffField:
@@ -82,7 +115,11 @@ class DiffField:
         self.funcs = {name: sp.Function(name)(*self.vars) for name in func_params}
         # rewrite rules: (func name, base multi-index) -> sympy expr
         self.rules = {}
-        self._rule_cache = {}
+        self._jets = {}       # (func name, multi-index) -> RatFunc value
+        self._jet_of = {}     # jet generator -> (func name, multi-index)
+        self._depth = 0
+        self._frac = FracField((), ZZ)
+        self._extend(self.vars + self.params + tuple(self.funcs.values()))
 
     # -- construction -------------------------------------------------
 
@@ -105,11 +142,11 @@ class DiffField:
 
     @property
     def zero(self):
-        return RatFunc(self, sp.S.Zero)
+        return RatFunc(self, self._frac.zero)
 
     @property
     def one(self):
-        return RatFunc(self, sp.S.One)
+        return RatFunc(self, self._frac.one)
 
     def ratfunc(self, value):
         """Coerce an int/Fraction/str/sympy expression into the field."""
@@ -117,31 +154,37 @@ class DiffField:
             if value.field is not self:
                 return RatFunc(self, value.expr)
             return value
-        if isinstance(value, Fraction):
-            return RatFunc(self, sp.Rational(value.numerator, value.denominator))
+        if isinstance(value, int):
+            return RatFunc(self, self._frac(value))
         if isinstance(value, str):
             local = {name: self.symbol(name) for name in
                      itertools.chain(self.var_names, self.param_names,
                                      self.func_param_names)}
-            return RatFunc(self, sp.sympify(value, locals=local))
-        return RatFunc(self, sp.sympify(value))
+            value = sp.sympify(value, locals=local)
+        return RatFunc(self, value)
 
     def add_rule(self, func_name, base_index, rhs):
         """Declare a directed rewrite d^base(func) -> rhs.
 
         Any higher derivative of the funcparam rewrites through the rule,
-        so the relation holds identically in all computations.
+        so the relation holds identically in all computations.  Declare
+        rules before making elements that hold the jets they rewrite.
         """
         if func_name not in self.func_param_names:
             raise KeyError(func_name)
         base_index = tuple(int(b) for b in base_index)
         if len(base_index) != self.n or sum(base_index) < 1:
             raise ValueError("rule must rewrite a genuine derivative")
-        rhs = self.ratfunc(rhs)
-        self.rules[(func_name, base_index)] = rhs.expr
-        self._rule_cache.clear()
+        self.rules[(func_name, base_index)] = self.ratfunc(rhs).expr
+        self._jets.clear()
 
-    # -- derivatives and rewriting -------------------------------------
+    # -- generators, jets and the derivation -----------------------------
+
+    def _extend(self, gens):
+        """Add generators; elements of the old field move over lazily."""
+        syms = sorted(set(self._frac.symbols).union(gens), key=_gen_key)
+        self._frac = FracField(syms, ZZ)
+        self._index = {g: k for k, g in enumerate(syms)}
 
     def _deriv_index(self, atom):
         """Multi-index of a Derivative atom of one of our funcparams."""
@@ -150,53 +193,82 @@ class DiffField:
             counts[var] = counts.get(var, 0) + int(cnt)
         return tuple(counts.get(v, 0) for v in self.vars)
 
-    def _rule_value(self, func_name, index):
-        key = (func_name, index)
-        if key in self._rule_cache:
-            return self._rule_cache[key]
-        value = None
-        for (fname, base), rhs in self.rules.items():
-            if fname != func_name:
-                continue
-            if all(i >= b for i, b in zip(index, base)):
-                extra = tuple(i - b for i, b in zip(index, base))
-                value = rhs
-                for i, k in enumerate(extra):
-                    for _ in range(k):
-                        value = sp.diff(value, self.vars[i])
-                value = self.reduce_derivatives(value)
-                break
-        self._rule_cache[key] = value
+    def _jet(self, name, mu):
+        """The jet d^mu(name): a generator, or its value through the rules."""
+        value = self._jets.get((name, mu))
+        if value is not None:
+            return value
+        base = next((b for (f, b) in self.rules if f == name
+                     and all(m >= k for m, k in zip(mu, b))), None)
+        sym = self.funcs[name]
+        if any(mu):
+            sym = sp.diff(sym, *[(v, k) for v, k in zip(self.vars, mu) if k])
+        if base is None:
+            self._jet_of[sym] = (name, mu)
+            if sym not in self._index:
+                self._extend([sym])
+            value = RatFunc(self, self._frac.gens[self._index[sym]])
+        elif base == mu:
+            if self._depth >= MAX_REWRITE_DEPTH:
+                raise ResourceLimit(f"rewriting {self.coeff_str(sym)} through "
+                                    "the relations did not terminate")
+            self._depth += 1
+            try:
+                value = RatFunc(self, self.rules[(name, mu)])
+            finally:
+                self._depth -= 1
+        else:
+            # the last variable is differentiated last, as in d^mu
+            i = max(k for k in range(self.n) if mu[k] > base[k])
+            value = self._jet(name, mu[:i] + (mu[i] - 1,) + mu[i + 1:])
+            value = value.derive(i + 1)
+        self._jets[(name, mu)] = value
         return value
 
-    def reduce_derivatives(self, expr):
-        """Rewrite funcparam derivatives through the declared rules."""
-        if not self.rules:
-            return expr
-        for _ in range(64):
-            subs = {}
-            for atom in expr.atoms(sp.Derivative):
-                base = atom.expr
-                if not (base.is_Function and str(base.func) in self.func_param_names):
-                    continue
-                value = self._rule_value(str(base.func), self._deriv_index(atom))
-                if value is not None:
-                    subs[atom] = value
-            if not subs:
-                return expr
-            expr = expr.xreplace(subs)
-        raise ResourceLimit("derivative rewrite did not terminate")
-
-    def normalize(self, expr):
-        expr = self.reduce_derivatives(expr)
-        return sp.cancel(sp.together(expr))
-
     def derive(self, i, f):
-        """Exact partial derivative d/dx_i (1-based index)."""
+        """Exact partial derivative d/dx_i (1-based index): the total
+        derivative, which moves each jet generator one step up."""
         if not 1 <= i <= self.n:
             raise IndexError(f"derivation index {i} out of range 1..{self.n}")
         f = self.ratfunc(f)
-        return RatFunc(self, self.normalize(sp.diff(f.expr, self.vars[i - 1])))
+        steps = {}
+        for g in f.generators():
+            if g == self.vars[i - 1]:
+                steps[g] = self.one
+            elif g in self._jet_of:
+                name, mu = self._jet_of[g]
+                up = mu[:i - 1] + (mu[i - 1] + 1,) + mu[i:]
+                steps[g] = self._jet(name, up)
+        if not steps:
+            return self.zero
+
+        def dpoly(p):
+            return sum((s.frac * p.diff(self._index[g])
+                        for g, s in steps.items()), self._frac.zero)
+
+        num, den = f.frac.numer, f.frac.denom
+        if den.is_ground:
+            return RatFunc(self, dpoly(num) / den)
+        return RatFunc(self, (dpoly(num) * den - dpoly(den) * num) / den**2)
+
+    def normalize(self, expr):
+        """The element a sympy expression denotes: the one way into the field.
+
+        Funcparam derivatives are jets and go through the rules; a symbol
+        the field does not declare becomes a constant generator.
+        """
+        expr = sp.sympify(expr)
+        new = [s for s in expr.free_symbols if s not in self._index]
+        if new:
+            self._extend(new)
+        jets = {}
+        for atom in expr.atoms(sp.Function, sp.Derivative):
+            base = atom.expr if isinstance(atom, sp.Derivative) else atom
+            if self.funcs.get(str(base.func)) != base:
+                raise DiffmodError(f"{atom} is not an element of {self!r}")
+            mu = self._deriv_index(atom) if base is not atom else (0,) * self.n
+            jets[atom] = self._jet(str(base.func), mu).expr
+        return self._frac.from_expr(expr.xreplace(jets))
 
     def coeff_str(self, expr):
         """Canonical text for a coefficient, funcparam derivatives as d1(a)."""
@@ -207,14 +279,7 @@ class DiffField:
                            reverse=True):
             base = atom.expr
             if base.is_Function and str(base.func) in self.func_param_names:
-                mu = self._deriv_index(atom)
-                digits = []
-                for i, k in enumerate(mu, start=1):
-                    digits.extend([i] * k)
-                if self.n <= 9:
-                    dtxt = "d" + "".join(str(i) for i in digits)
-                else:
-                    dtxt = "d(" + ",".join(str(i) for i in digits) + ")"
+                dtxt = mono_str(self._deriv_index(atom))
                 s = s.replace(sp.sstr(atom), f"{dtxt}({base.func})")
         for name in self.func_param_names:
             s = s.replace(sp.sstr(self.funcs[name]), name)
@@ -227,52 +292,62 @@ class DiffField:
         new = DiffField(var_names=self.var_names, params=kept,
                         func_params=self.func_param_names)
         for (fname, base), rhs in self.rules.items():
-            new.rules[(fname, base)] = sp.cancel(rhs.xreplace(mapping))
-        new._rule_cache.clear()
+            new.add_rule(fname, base, rhs.xreplace(mapping))
         return new, mapping
 
 
-def _poly_gens(expr):
-    """Polynomial generators of a coefficient: its funcparam derivatives,
-    then its funcparams, then its symbols, each group in sympy's sort
-    order.  Factor order and the sign of a canonical factor follow this
-    order, so they do not depend on the hash seed."""
-    atoms = expr.free_symbols | expr.atoms(sp.Function, sp.Derivative)
-    return sorted(atoms, key=lambda a: (not isinstance(a, sp.Derivative),
-                                        not isinstance(a, sp.Function),
-                                        sp.default_sort_key(a)))
-
-
 class RatFunc:
-    """Element of the field, stored as a cancelled sympy expression."""
+    """Element of the field: one cancelled fraction of integer polynomials."""
 
-    __slots__ = ("field", "expr")
+    __slots__ = ("field", "_f", "_expr")
 
-    def __init__(self, field, expr, normal=False):
+    def __init__(self, field, value):
         self.field = field
-        e = sp.sympify(expr)
-        self.expr = e if normal else field.normalize(e)
+        self._f = (value if isinstance(value, FracElement)
+                   else field.normalize(value))
+        self._expr = None
+
+    @property
+    def frac(self):
+        """The fraction, moved into the field's current generators."""
+        f, K = self._f, self.field._frac
+        if f.field is not K:
+            f = self._f = K.dtype(f.numer.set_ring(K.ring),
+                                  f.denom.set_ring(K.ring))
+        return f
+
+    @property
+    def expr(self):
+        """sympy view of the element, signed as sympy's cancel signs it."""
+        if self._expr is None:
+            num, den = self._f.numer, self._f.denom
+            if len(den) > 1 and _cancel_lc(den) < 0:
+                num, den = -num, -den
+            self._expr = num.as_expr() / den.as_expr()
+        return self._expr
 
     # -- predicates -----------------------------------------------------
 
     @property
     def is_zero(self):
-        return self.expr is sp.S.Zero or self.expr == 0
+        return not self._f
 
     @property
     def is_one(self):
-        return self.expr == 1
+        return self._f.numer.is_one and self._f.denom.is_one
+
+    def generators(self):
+        """The generators (sympy symbols and jets) the element involves."""
+        return _used(self._f.numer) | _used(self._f.denom)
 
     def free_of_parameters(self):
         """True when the element lies in Q(x1..xn) only."""
-        atoms = self.expr.free_symbols | self.expr.atoms(sp.Function)
-        allowed = set(self.field.vars)
-        return all(a in allowed for a in atoms)
+        return self.generators() <= set(self.field.vars)
 
     # -- arithmetic -----------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, RatFunc):
+        if isinstance(other, RatFunc) and other.field is self.field:
             return other
         return self.field.ratfunc(other)
 
@@ -282,16 +357,18 @@ class RatFunc:
             return other
         if other.is_zero:
             return self
-        return RatFunc(self.field, self.field.normalize(self.expr + other.expr),
-                       normal=True)
+        return RatFunc(self.field, self.frac + other.frac)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(self.field, -self.expr, normal=True)
+        return RatFunc(self.field, -self._f)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        if other.is_zero:
+            return self
+        return RatFunc(self.field, self.frac - other.frac)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -304,8 +381,7 @@ class RatFunc:
             return other
         if other.is_one:
             return self
-        return RatFunc(self.field, self.field.normalize(self.expr * other.expr),
-                       normal=True)
+        return RatFunc(self.field, self.frac * other.frac)
 
     __rmul__ = __mul__
 
@@ -315,8 +391,7 @@ class RatFunc:
             raise DivisionByZero("division by zero in coefficient field")
         if other.is_one:
             return self
-        return RatFunc(self.field, self.field.normalize(self.expr / other.expr),
-                       normal=True)
+        return RatFunc(self.field, self.frac / other.frac)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -329,47 +404,51 @@ class RatFunc:
 
     # -- structure ------------------------------------------------------
 
-    def numer_denom(self):
-        return sp.fraction(self.expr)
-
     def nonzero_factors(self):
         """Irreducible numerator factors involving params or funcparams.
 
         These are exactly the facts a pivot inversion silently relies on;
         factors lying in Q(x) are honest units of the field and dropped.
+        They come in sympy's factor_list order over the generators the
+        numerator involves.
         """
-        numer, _ = self.numer_denom()
+        K, numer = self.field._frac, self.frac.numer
+        if numer.is_ground:
+            return []
+        gens = sorted(_used(numer), key=_gen_key)
+        _, flist = numer.set_ring(PolyRing(gens, ZZ)).factor_list()
+        flist.sort(key=lambda t: (len(t[0].to_dense()), t[1], t[0].to_dense()))
         factors = []
-        _, flist = sp.factor_list(numer, *_poly_gens(numer))
         for fac, _mult in flist:
-            rf = RatFunc(self.field, fac)
-            if rf.free_of_parameters():
-                continue
-            factors.append(rf.canonical_factor())
+            rf = RatFunc(self.field, K.dtype(fac.set_ring(K.ring)))
+            if not rf.free_of_parameters():
+                factors.append(rf.canonical_factor())
         return factors
 
     def canonical_factor(self):
-        """Scale to a canonical representative (primitive, fixed sign)."""
-        numer, denom = self.numer_denom()
-        expr = sp.cancel(numer / sp.S.One) if denom.is_Rational else self.expr
-        gens = _poly_gens(expr)
-        if not gens:
-            return RatFunc(self.field, sp.S.One)
-        _, prim = sp.Poly(expr, *gens).primitive()
-        if prim.LC() < 0:
+        """The numerator scaled to a canonical representative: primitive,
+        with a positive leading coefficient in the generator order.  The
+        denominator must be a unit of Q(x1..xn)."""
+        if not _used(self.frac.denom) <= set(self.field.vars):
+            raise DiffmodError(f"{self.field.coeff_str(self)} divides by a "
+                               "parameter or funcparam")
+        numer = self.frac.numer
+        if numer.is_ground:
+            return self.field.one
+        _, prim = numer.primitive()
+        if prim.LC < 0:
             prim = -prim
-        return RatFunc(self.field, prim.as_expr())
+        return RatFunc(self.field, self.field._frac.dtype(prim))
 
     def __eq__(self, other):
-        if not isinstance(other, RatFunc):
-            try:
-                other = self._coerce(other)
-            except (sp.SympifyError, TypeError):
-                return NotImplemented
-        return (self - other).is_zero
+        try:
+            other = self._coerce(other)
+        except (TypeError, ValueError, DiffmodError):
+            return NotImplemented
+        return self.frac == other.frac
 
     def __hash__(self):
-        return hash(sp.cancel(self.expr))
+        return hash(self.expr)
 
     def __bool__(self):
         return not self.is_zero
@@ -390,12 +469,10 @@ def is_zero_under(f, session=None):
         raise TypeError("is_zero_under expects a RatFunc")
     if f.is_zero:
         return True, []
-    provisos = []
-    if not f.free_of_parameters():
-        provisos = f.nonzero_factors()
-        if session is not None:
-            provisos = [session.note_pivot_factor(p) for p in provisos]
-            provisos = [p for p in provisos if p is not None]
+    provisos = f.nonzero_factors()
+    if session is not None:
+        provisos = [session.note_pivot_factor(p) for p in provisos]
+        provisos = [p for p in provisos if p is not None]
     return False, provisos
 
 
@@ -409,7 +486,8 @@ class Session:
 
     def __init__(self, field, assume_nonzero=(), split_params=(), case=None):
         self.field = field
-        self.assumed = [field.ratfunc(a).canonical_factor() for a in assume_nonzero]
+        self.assumed = [field.ratfunc(a).canonical_factor()
+                         for a in assume_nonzero]
         self.split_params = frozenset(_names(split_params))
         self.case = dict(case or {})
         self.provisos = []
@@ -420,13 +498,6 @@ class Session:
         s.provisos = list(self.provisos)
         return s
 
-    def _covered(self, factor):
-        for g in self.assumed:
-            ratio = sp.cancel(factor.expr / g.expr)
-            if ratio.is_Rational and ratio != 0:
-                return True
-        return False
-
     def note_pivot_factor(self, factor):
         """Record one parameter-dependent pivot factor.
 
@@ -434,16 +505,13 @@ class Session:
         assumption already covers it.  Raises CaseSplitRequired when the
         factor is a declared split parameter with no case decision.
         """
-        if self._covered(factor):
+        if factor.canonical_factor() in self.assumed:
             return None
-        syms = {str(s) for s in factor.expr.free_symbols}
-        undecided = syms & self.split_params
+        undecided = {str(g) for g in factor.generators()} & self.split_params
         if undecided:
             raise CaseSplitRequired(sorted(undecided)[0], factor)
-        for p in self.provisos:
-            if (p - factor).is_zero:
-                return factor
-        self.provisos.append(factor)
+        if factor not in self.provisos:
+            self.provisos.append(factor)
         return factor
 
     def check_pivot(self, coeff):

@@ -10,19 +10,11 @@ original second members.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field as dc_field
 
 from .field import ResourceLimit, Session
 from .ops import (DEFAULT_ORDER, OpMatrix, ScalarOp, mono_le, mono_order,
                   mono_str, mono_sub)
-
-
-def _env_int(name, default):
-    try:
-        return int(os.environ.get(name, default))
-    except ValueError:
-        return default
 
 
 def janet_multiplicative(leads, seq):
@@ -58,14 +50,9 @@ class _Row:
 
     def lead(self, order):
         if self._lead is None:
-            best = None
-            best_key = None
-            for j, entry in enumerate(self.op):
-                for mu in entry.terms:
-                    key = order.module_key((j, mu), len(self.op))
-                    if best_key is None or key > best_key:
-                        best, best_key = (j, mu), key
-            self._lead = best
+            terms = [(j, mu) for j, e in enumerate(self.op) for mu in e.terms]
+            self._lead = max(terms, default=None, key=lambda t:
+                             order.module_key(t, len(self.op)))
         return self._lead
 
     @property
@@ -252,6 +239,11 @@ class InvolutiveBasis:
         return True
 
 
+# Reductions one completion may make; prolongations stop at order 2q + 6
+# for an input of order q.
+MAX_STEPS = 10_000
+
+
 class _Budget:
     def __init__(self, max_steps, max_order):
         self.max_steps = max_steps
@@ -268,8 +260,7 @@ class _Budget:
             raise ResourceLimit(f"prolongation order budget exceeded ({self.max_order})")
 
 
-def complete(A, order=None, session=None, track_src=True,
-             max_steps=None, max_order=None):
+def complete(A, order=None, session=None, track_src=True):
     """Involutive completion of the row module of A (Janet division).
 
     Returns an InvolutiveBasis whose trace carries the completion steps,
@@ -282,8 +273,7 @@ def complete(A, order=None, session=None, track_src=True,
     if A.rows and A.cols == 0:
         raise ValueError("cannot complete a matrix with no columns")
     q = max(A.order, 0)
-    budget = _Budget(max_steps or _env_int("DIFFMOD_MAX_STEPS", 10_000),
-                     max_order or _env_int("DIFFMOD_MAX_ORDER", 2 * q + 6))
+    budget = _Budget(MAX_STEPS, 2 * q + 6)
     trace = CompletionTrace(provisos=session.provisos)
     basis = InvolutiveBasis(field, A.cols, order, [], trace, A)
 
@@ -477,7 +467,6 @@ def count_parametric(basis):
 
 def _hilbert(basis, leads):
     """Standard-monomial counts by order, up to the basis order + 1."""
-    from itertools import product
     n = basis.field.n
     top = max(basis.max_order + 1, 1)
     counts = {}

@@ -13,8 +13,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .field import RatFunc
-
 
 # ---------------------------------------------------------------------------
 # multi-indices
@@ -47,6 +45,16 @@ def mono_str(mu, style="d"):
     if len(mu) <= 9:
         return style + "".join(str(i) for i in digits)
     return style + "(" + ",".join(str(i) for i in digits) + ")"
+
+
+def _add_into(terms, key, c):
+    """terms[key] += c, dropping the key when the sum vanishes."""
+    prev = terms.get(key)
+    s = c if prev is None else prev + c
+    if s.is_zero:
+        terms.pop(key, None)
+    else:
+        terms[key] = s
 
 
 def submonomials(mu):
@@ -153,11 +161,6 @@ class ScalarOp:
             return -1
         return max(mono_order(mu) for mu in self.terms)
 
-    def lead(self, order=DEFAULT_ORDER):
-        if not self.terms:
-            return None
-        return max(self.terms, key=order.mono_key)
-
     # -- ring operations -------------------------------------------------
 
     def _coerce(self, other):
@@ -165,25 +168,22 @@ class ScalarOp:
             return other
         return ScalarOp.constant(self.field, other)
 
+    @classmethod
+    def _of(cls, field, terms):
+        """An operator on terms that are already clean."""
+        out = cls.__new__(cls)
+        out.field, out.terms = field, terms
+        return out
+
     def __add__(self, other):
         other = self._coerce(other)
         terms = dict(self.terms)
         for mu, c in other.terms.items():
-            acc = terms.get(mu)
-            s = c if acc is None else acc + c
-            if s.is_zero:
-                terms.pop(mu, None)
-            else:
-                terms[mu] = s
-        out = ScalarOp.__new__(ScalarOp)
-        out.field, out.terms = self.field, terms
-        return out
+            _add_into(terms, mu, c)
+        return ScalarOp._of(self.field, terms)
 
     def __neg__(self):
-        out = ScalarOp.__new__(ScalarOp)
-        out.field = self.field
-        out.terms = {mu: -c for mu, c in self.terms.items()}
-        return out
+        return ScalarOp._of(self.field, {mu: -c for mu, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -192,47 +192,27 @@ class ScalarOp:
         c = self.field.ratfunc(c)
         if c.is_zero:
             return ScalarOp.zero(self.field)
-        out = ScalarOp.__new__(ScalarOp)
-        out.field = self.field
-        out.terms = {mu: v * c for mu, v in self.terms.items()}
-        return out
+        return ScalarOp._of(self.field,
+                            {mu: v * c for mu, v in self.terms.items()})
 
     def _compose_term(self, mu, coeff, other):
         """coeff * d^mu applied (as composition) to every term of other."""
-        field = self.field
         acc = {}
-        # cache partial derivatives of each right coefficient along the way
         for nu, b in other.terms.items():
-            derivs = {(0,) * field.n: b}
+            # product() lists kappa - e_j before kappa: one derive per kappa
+            derivs = {}
             for kappa in submonomials(mu):
-                kappa = tuple(kappa)
-                if kappa not in derivs:
-                    # build up from a smaller cached derivative
-                    base = kappa
-                    path = []
-                    while base not in derivs:
-                        i = next(j for j, v in enumerate(base) if v > 0)
-                        path.append(i)
-                        base = tuple(v - (1 if j == i else 0)
-                                     for j, v in enumerate(base))
-                    val = derivs[base]
-                    for i in reversed(path):
-                        step = tuple(v + (1 if j == i else 0)
-                                     for j, v in enumerate(base))
-                        val = val.derive(i + 1)
-                        derivs[step] = val
-                        base = step
-                db = derivs[kappa]
+                j = next((j for j, v in enumerate(kappa) if v), None)
+                if j is None:
+                    db = b
+                else:
+                    lower = kappa[:j] + (kappa[j] - 1,) + kappa[j + 1:]
+                    db = derivs[lower].derive(j + 1)
+                derivs[kappa] = db
                 if db.is_zero:
                     continue
-                c = db * mono_binom(mu, kappa)
-                key = mono_add(mono_sub(mu, kappa), nu)
-                prev = acc.get(key)
-                s = c if prev is None else prev + c
-                if s.is_zero:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
+                _add_into(acc, mono_add(mono_sub(mu, kappa), nu),
+                          db * mono_binom(mu, kappa))
         if not coeff.is_one:
             acc = {k: v * coeff for k, v in acc.items()}
         return acc
@@ -240,20 +220,11 @@ class ScalarOp:
     def __mul__(self, other):
         """Composition self o other in the operator sense."""
         other = self._coerce(other)
-        field = self.field
         total = {}
         for mu, a in self.terms.items():
-            part = self._compose_term(mu, a, other)
-            for k, v in part.items():
-                prev = total.get(k)
-                s = v if prev is None else prev + v
-                if s.is_zero:
-                    total.pop(k, None)
-                else:
-                    total[k] = s
-        out = ScalarOp.__new__(ScalarOp)
-        out.field, out.terms = field, total
-        return out
+            for k, v in self._compose_term(mu, a, other).items():
+                _add_into(total, k, v)
+        return ScalarOp._of(self.field, total)
 
     def __rmul__(self, other):
         return self._coerce(other) * self
@@ -266,15 +237,8 @@ class ScalarOp:
             sign = -1 if mono_order(mu) % 2 else 1
             part = ScalarOp.monomial(field, mu, sign) * ScalarOp.constant(field, a)
             for k, v in part.terms.items():
-                prev = total.get(k)
-                s = v if prev is None else prev + v
-                if s.is_zero:
-                    total.pop(k, None)
-                else:
-                    total[k] = s
-        out = ScalarOp.__new__(ScalarOp)
-        out.field, out.terms = field, total
-        return out
+                _add_into(total, k, v)
+        return ScalarOp._of(field, total)
 
     def apply(self, f):
         """Act on a field element, reading d_i as the derivation d/dx_i."""
@@ -489,14 +453,9 @@ class OpMatrix:
     def specialize(self, values):
         """Substitute parameter values (case split) into every entry."""
         new_field, mapping = self.field.specialize(values)
-        ent = []
-        for row in self.entries:
-            new_row = []
-            for e in row:
-                terms = {mu: RatFunc(new_field, c.expr.xreplace(mapping))
-                         for mu, c in e.terms.items()}
-                new_row.append(ScalarOp(new_field, terms))
-            ent.append(new_row)
+        ent = [[ScalarOp(new_field, {mu: c.expr.xreplace(mapping)
+                                     for mu, c in e.terms.items()})
+                for e in row] for row in self.entries]
         return OpMatrix(new_field, ent, row_labels=self.row_labels,
                         col_labels=self.col_labels)
 

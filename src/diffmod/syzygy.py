@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .field import ResourceLimit, Session
-from .janet import complete
+from .janet import _Row, complete
 from .ops import DEFAULT_ORDER, OpMatrix
 
 
@@ -34,13 +34,7 @@ def _minimalize(field, rows, ncols, order, session, labels):
 
 
 def _lead_of(mat, order):
-    best, best_key = None, None
-    for j in range(mat.cols):
-        for mu in mat.entries[0][j].terms:
-            key = order.module_key((j, mu), mat.cols)
-            if best_key is None or key > best_key:
-                best, best_key = (j, mu), key
-    return best if best is not None else (0, (0,) * mat.field.n)
+    return _Row(mat.row(0), None).lead(order) or (0, (0,) * mat.field.n)
 
 
 def _monic_row(field, entries, ncols, order, session):
@@ -52,7 +46,7 @@ def _monic_row(field, entries, ncols, order, session):
     return [e.scale(inv) for e in entries]
 
 
-def compatibility_conditions(A, order=None, session=None, **limits):
+def compatibility_conditions(A, order=None, session=None):
     """Generating CC of A, expressed in the original second members.
 
     The system is completed first (this is not optional: hidden
@@ -66,10 +60,10 @@ def compatibility_conditions(A, order=None, session=None, **limits):
     labelled z1..zp.
     """
     return _cc_and_completion(A, order or DEFAULT_ORDER,
-                              session or Session(A.field), **limits)[0]
+                              session or Session(A.field))[0]
 
 
-def _cc_and_completion(A, order, session, **limits):
+def _cc_and_completion(A, order, session):
     """(CC of A, the tracked completion of A or None if none was needed)."""
     field = A.field
     if A.cols == 0 or (A.rows and A.is_zero):
@@ -78,7 +72,7 @@ def _cc_and_completion(A, order, session, **limits):
         return ident, None
     if A.rows == 0:
         return OpMatrix.zero(field, 0, 0), None
-    basis = complete(A, order=order, session=session, track_src=True, **limits)
+    basis = complete(A, order=order, session=session, track_src=True)
     raw = [r for r in basis.trace.cc_rows]
     if not raw:
         return OpMatrix.zero(field, 0, A.rows, col_labels=A.row_labels), basis
@@ -87,7 +81,7 @@ def _cc_and_completion(A, order, session, **limits):
     # extract a minimal generating subset from its involutive basis.
     raw_matrix = OpMatrix.from_rows(field, raw, A.rows, col_labels=A.row_labels)
     syz_basis = complete(raw_matrix, order=order, session=session,
-                         track_src=False, **limits)
+                         track_src=False)
     candidates = [list(r.op) for r in syz_basis._rows]
     kept = _minimalize(field, candidates, A.rows, order, session, A.row_labels)
     kept = [_monic_row(field, r, A.rows, order, session) for r in kept]
@@ -153,7 +147,7 @@ def classify_operator(A, basis, order=None):
     return formally_integrable, involutive
 
 
-def build_sequence(A, max_steps=None, order=None, session=None, **limits):
+def build_sequence(A, max_steps=None, order=None, session=None):
     """Iterate compatibility conditions until they are empty.
 
     The length is capped at n + 1 operators starting from A; emptiness of
@@ -170,7 +164,7 @@ def build_sequence(A, max_steps=None, order=None, session=None, **limits):
     certificates = []
     terminated = False
     while True:
-        cc, basis = _cc_and_completion(ops[-1], order, session, **limits)
+        cc, basis = _cc_and_completion(ops[-1], order, session)
         fi, inv = classify_operator(ops[-1], basis, order)
         per_op.append({"formally_integrable": fi, "involutive": inv,
                        "order": ops[-1].order})
@@ -196,7 +190,7 @@ def build_sequence(A, max_steps=None, order=None, session=None, **limits):
     )
 
 
-def differential_rank(A, order=None, session=None, _depth=0, **limits):
+def differential_rank(A, order=None, session=None, _depth=0):
     """Rank of A over the skew quotient field of D.
 
     Computed through the certified syzygy chain: rk A = rows(A) - rk CC(A),
@@ -208,8 +202,8 @@ def differential_rank(A, order=None, session=None, _depth=0, **limits):
         return 0
     if _depth > A.field.n + 2:
         raise ResourceLimit("rank recursion exceeded the resolution bound")
-    cc = compatibility_conditions(A, order=order, session=session, **limits)
+    cc = compatibility_conditions(A, order=order, session=session)
     if cc.rows == 0:
         return A.rows
     return A.rows - differential_rank(cc, order=order, session=session,
-                                      _depth=_depth + 1, **limits)
+                                      _depth=_depth + 1)

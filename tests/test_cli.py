@@ -1,10 +1,9 @@
 import json
-import shutil
 
 import pytest
 
 from diffmod import cli
-from diffmod.corpus import corpus_dir, run_case, run_corpus
+from diffmod.corpus import corpus_dir, run_case
 
 
 def corpus_path(name):
@@ -192,3 +191,27 @@ def test_file_command_envelope(capsys, command):
     assert report["case"] == {} and report["provisos"] == []
     for key, value in ENVELOPE_PAYLOADS.get(command, {}).items():
         assert report["payload"][key] == value
+
+
+def test_cyclic_relations_are_an_error_not_a_traceback(capsys, tmp_path):
+    src = tmp_path / "cyclic.dms"
+    src.write_text("vars x1, x2; unknowns y; funcparams a, b; "
+                   "rel d1(a) = d1(b); rel d1(b) = d1(a); "
+                   "E: d1(a)*d2(y) + y = u;\n")
+    assert cli.main(["complete", str(src)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "did not terminate" in err
+    assert "Traceback" not in err
+
+
+def test_assumption_dividing_by_a_parameter_is_refused(capsys, tmp_path):
+    assert cli.main(["rank", corpus_path("od_lie_pair"),
+                     "--assume", "1/c"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "1/c" in err
+    src = tmp_path / "inverse.dms"
+    src.write_text((corpus_dir() / "od_lie_pair.dms").read_text()
+                   .replace("assume alpha != 0;", "assume 1/c != 0;"))
+    assert cli.main(["rank", str(src)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "1/c" in err

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import diffmod
 from diffmod.field import (CaseSplitRequired, DiffField, DivisionByZero,
                            RatFunc, Session, is_zero_under)
+from diffmod.ops import OpMatrix, ScalarOp
 
 
 def small_exprs(field):
@@ -171,3 +172,59 @@ def test_canonical_factor_does_not_depend_on_the_hash_seed():
                                capture_output=True, text=True,
                                check=True).stdout)
     assert len(out) == 1
+
+
+PINNED_COEFFS = [
+    ("-x1 + x2", "-x1 + x2"),
+    ("(-x1**2 + c)/x2", "(c - x1**2)/x2"),
+    ("(2*x1 + 2)/(4*x2)", "(x1 + 1)/(2*x2)"),
+    ("-(2*x1 + 2)/(4*x2)", "(-x1 - 1)/(2*x2)"),
+    ("1/(x1 - a)", "1/(x1 - a)"),
+    ("(c*a - x2)/(x1*a - c)", "(c*a - x2)/(-c + x1*a)"),
+    ("-3/(2*c*x1)", "-3/(2*c*x1)"),
+]
+
+
+@pytest.mark.parametrize("text, expected", PINNED_COEFFS)
+def test_coeff_str_is_pinned(text, expected):
+    G = DiffField(2, params=["c"], func_params=["a"])
+    assert G.coeff_str(G.ratfunc(text)) == expected
+
+
+def test_funcparam_derivatives_print_as_before():
+    G = DiffField(2, params=["c"], func_params=["a"])
+    a, x1, x2 = G.ratfunc("a"), G.ratfunc("x1"), G.ratfunc("x2")
+    assert G.coeff_str(a / a.derive(1)) == "a/d1(a)"
+    assert G.coeff_str((a + x1) / (a.derive(2) - a * x2)) == \
+        "(-x1 - a)/(x2*a - d2(a))"
+    assert G.coeff_str(G.one / (a.derive(1) - a.derive(2))) == \
+        "1/(d1(a) - d2(a))"
+    d1, d2 = ScalarOp.d(G, 1), ScalarOp.d(G, 2)
+    M = OpMatrix(G, [[d1.scale(G.ratfunc("-(2*x1 + 2)/(4*x2)"))
+                      + d2.scale(G.ratfunc("1/(x1 - a)")),
+                      ScalarOp.constant(G, -a.derive(1))
+                      + d1.scale(G.ratfunc("c - x1"))]],
+                 col_labels=["u", "v"])
+    assert M.row_string(0) == ("(1/(x1 - a))*d2(u) + ((-x1 - 1)/(2*x2))*d1(u)"
+                               " + (c - x1)*d1(v) - d1(a)*v")
+
+
+def test_second_derivative_through_a_rule_prints_as_before():
+    G = DiffField(1, params=["c"], func_params=["alpha", "gamma"])
+    al, ga, c = G.ratfunc("alpha"), G.ratfunc("gamma"), G.ratfunc("c")
+    G.add_rule("alpha", (1,), al * ga + c * al * al)
+    dd = al.derive(1).derive(1)
+    text = "2*c**2*alpha**3 + 3*c*alpha**2*gamma + alpha*gamma**2 + alpha*d1(gamma)"
+    assert G.coeff_str(dd) == text
+    assert G.coeff_str(G.one / dd) == f"1/({text})"
+
+
+def test_hash_survives_a_new_jet_generator():
+    G = DiffField(2, func_params=["a"])
+    a = G.ratfunc("a")
+    before = a * G.ratfunc("x1") + 1
+    a.derive(1).derive(2)          # adds the jets d1(a) and d12(a)
+    after = G.ratfunc("x1*a + 1")
+    assert before == after
+    assert hash(before) == hash(after)
+    assert len({before, after}) == 1

@@ -3,12 +3,12 @@ import itertools
 import pytest
 import sympy as sp
 
-from diffmod.field import DiffField, Session
+from diffmod import janet
+from diffmod.field import DiffField, ResourceLimit
 from diffmod.janet import (board_of_matrix, complete, count_parametric,
-                           involutive_normal_form, janet_board)
+                           janet_board)
 from diffmod.ops import OpMatrix, ScalarOp, TermOrder
-from conftest import (corpus_session, load_corpus_system, random_matrix,
-                      random_scalar_op)
+from conftest import corpus_session, load_corpus_system, random_matrix
 
 
 F = DiffField(2)
@@ -178,3 +178,10 @@ def test_trace_replays_basis_rows():
         replay = src.compose(matrix)
         ours = basis.matrix()
         assert replay == ours
+
+
+def test_step_budget_raises_resource_limit(monkeypatch):
+    field, matrix, meta = load_corpus_system("contact_pfaffian")
+    monkeypatch.setattr(janet, "MAX_STEPS", 3)
+    with pytest.raises(ResourceLimit, match="reduction budget"):
+        complete(matrix)

@@ -4,8 +4,7 @@ import pytest
 import sympy as sp
 
 from diffmod.field import DiffField
-from diffmod.ops import (DEFAULT_ORDER, OpMatrix, ScalarOp, ShapeMismatch,
-                         TermOrder)
+from diffmod.ops import OpMatrix, ScalarOp, ShapeMismatch, TermOrder
 from conftest import random_matrix, random_poly, random_scalar_op
 
 

@@ -8,7 +8,7 @@ from diffmod.spencer import (SymbolSpace, UnsupportedDimension,
                              conformal_diagram_dims, conformal_symbol,
                              contact_bundle_dim, delta_cohomology_dim,
                              delta_squared_is_zero, killing_symbol, rank,
-                             sym_dim, sym_monos, wedge_sets)
+                             sym_dim)
 
 
 def closed_h2(n):

@@ -1,7 +1,7 @@
 import pytest
 import sympy as sp
 
-from diffmod.field import DiffField, Session
+from diffmod.field import DiffField
 from diffmod.janet import complete
 from diffmod.ops import OpMatrix, ScalarOp
 from diffmod.syzygy import (build_sequence, compatibility_conditions,
