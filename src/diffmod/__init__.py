@@ -14,7 +14,7 @@ from .field import (CaseSplitRequired, DiffField, DivisionByZero,
                     is_zero_under)
 from .ops import DEFAULT_ORDER, OpMatrix, ScalarOp, ShapeMismatch, TermOrder
 from .janet import (InvolutiveBasis, board_text, complete, count_parametric,
-                    involutive_normal_form, janet_board)
+                    janet_board)
 from .syzygy import (DiffSequence, build_sequence, compatibility_conditions,
                      differential_rank)
 from .duality import (ExtReport, NotParametrizable, ParametrizationResult,
@@ -27,7 +27,7 @@ __all__ = [
     "RatFunc", "ResourceLimit", "Session", "is_zero_under",
     "DEFAULT_ORDER", "OpMatrix", "ScalarOp", "ShapeMismatch", "TermOrder",
     "InvolutiveBasis", "board_text", "complete", "count_parametric",
-    "involutive_normal_form", "janet_board",
+    "janet_board",
     "DiffSequence", "build_sequence", "compatibility_conditions",
     "differential_rank",
     "ExtReport", "NotParametrizable", "ParametrizationResult",

@@ -116,15 +116,11 @@ def double_duality_test(D1, order=None, session=None):
     ad_d = compatibility_conditions(ad1, order=order, session=session)
     D = ad_d.adjoint()
     d1_prime = compatibility_conditions(D, order=order, session=session)
-    basis = complete(D1, order=order, session=session, track_src=False) \
-        if not D1.is_zero and D1.rows else None
-    extra = []
-    for i in range(d1_prime.rows):
-        row = d1_prime.row(i)
-        rest = row if basis is None else basis.normal_form(row)
-        if not all(e.is_zero for e in rest):
-            extra.append(OpMatrix.from_rows(field, [row], D1.cols,
-                                            col_labels=D1.col_labels))
+    residues = _reduce_rows_mod(d1_prime, D1, order, session)
+    extra = [OpMatrix.from_rows(field, [d1_prime.row(i)], D1.cols,
+                                col_labels=D1.col_labels)
+             for i, rest in enumerate(residues)
+             if not all(e.is_zero for e in rest)]
     return DualityResult(
         torsion_free=not extra,
         parametrizing=D,
@@ -183,7 +179,7 @@ def torsion_submodule(presentation, order=None, session=None):
 
 def _reduce_rows_mod(rows_matrix, image, order, session):
     """Normal forms of each row of rows_matrix modulo the rows of image."""
-    if image is None or image.rows == 0:
+    if image is None or image.rows == 0 or image.is_zero:
         return [rows_matrix.row(i) for i in range(rows_matrix.rows)]
     basis = complete(image, order=order, session=session, track_src=False)
     return [basis.normal_form(rows_matrix.row(i))
@@ -261,6 +257,8 @@ def parametrize(D1, order=None, session=None):
     Returns the operator D from the double-duality test together with a
     mutual-reduction certificate that CC(D) and D1 generate the same row
     module, plus the rank bound a minimal parametrization would need.
+    One direction of the certificate is the test's torsion-free verdict:
+    every row of CC(D) reduces to zero modulo D1.
     """
     order = order or DEFAULT_ORDER
     field = D1.field
@@ -271,15 +269,10 @@ def parametrize(D1, order=None, session=None):
         raise NotParametrizable(certs)
     D = result.parametrizing
     certified = D1.compose(D).is_zero
-    if D1.rows and not D1.is_zero:
+    if D1.rows and not D1.is_zero and result.d1_prime.rows:
         basis_prime = complete(result.d1_prime, order=order, session=session,
-                               track_src=False) \
-            if result.d1_prime.rows else None
-        if basis_prime is not None:
-            certified = certified and basis_prime.contains_matrix(D1)
-        basis_d1 = complete(D1, order=order, session=session,
-                            track_src=False)
-        certified = certified and basis_d1.contains_matrix(result.d1_prime)
+                               track_src=False)
+        certified = certified and basis_prime.contains_matrix(D1)
     rank_m = D1.cols - differential_rank(D1, order=order,
                                          session=session)
     return ParametrizationResult(

@@ -6,11 +6,21 @@ That single invariant yields three things at once: a replayable trace,
 the integrability conditions discovered along the way, and, whenever an
 op-part cancels to zero, a compatibility condition expressed in the
 original second members.
+
+One `InvolutiveBasis` is the completion engine: `add` puts rows in and
+completes in place, so a basis can grow (compatibility conditions are
+minimalized on one growing basis).  As in Gerdt and Blinkov, each basis
+row carries the set of variables it has already been prolonged by, and
+that set survives later insertions and tail reduction, which keep the
+row's lead; a nonmultiplicative prolongation is therefore made once per
+row, not once per basis change (V. P. Gerdt, Yu. A. Blinkov, "Involutive
+bases of polynomial ideals", Math. Comput. Simul. 45, 1998).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import combinations_with_replacement, product
 
 from .field import ResourceLimit, Session
 from .ops import (DEFAULT_ORDER, OpMatrix, ScalarOp, mono_le, mono_order,
@@ -38,15 +48,41 @@ def janet_multiplicative(leads, seq):
     return out
 
 
-class _Row:
-    """Augmented module row: op over the unknowns, src over the inputs."""
+def minimal_janet_leads(leads, seq):
+    """Leads of the minimal Janet basis of the monomial module of leads.
 
-    __slots__ = ("op", "src", "_lead")
+    Janet's decomposition along the highest variable x: each slice of
+    x-degree d, from the lowest to the highest x-degree of a minimal
+    generator, is the minimal Janet set of its own slice module, and x is
+    multiplicative on the top slice.  Every Janet-complete set of the
+    module contains these leads.
+    """
+    mins = {u for u in leads if not any(v != u and mono_le(v, u) for v in leads)}
+    if not seq or not mins:
+        return mins
+    *rest, x = seq
+    i = x - 1
+    out = set()
+    for d in range(min(u[i] for u in mins), max(u[i] for u in mins) + 1):
+        out |= minimal_janet_leads(
+            {u[:i] + (d,) + u[i + 1:] for u in mins if u[i] <= d}, rest)
+    return out
+
+
+class _Row:
+    """Augmented module row: op over the unknowns, src over the inputs.
+
+    prolonged holds the variables the row has been prolonged by as a
+    basis row; a new row starts with none.
+    """
+
+    __slots__ = ("op", "src", "_lead", "prolonged")
 
     def __init__(self, op, src):
         self.op = op
         self.src = src
         self._lead = None
+        self.prolonged = set()
 
     def lead(self, order):
         if self._lead is None:
@@ -70,9 +106,13 @@ class _Row:
     def lead_order(self, order):
         return mono_order(self.lead(order)[1])
 
-    def scaled(self, c):
-        src = None if self.src is None else [e.scale(c) for e in self.src]
-        return _Row([e.scale(c) for e in self.op], src)
+    def monic(self, order, session):
+        """The row divided by its lead coefficient, checked as a pivot."""
+        c = self.lead_coeff(order)
+        session.check_pivot(c)
+        inv = c.inverse()
+        src = None if self.src is None else [e.scale(inv) for e in self.src]
+        return _Row([e.scale(inv) for e in self.op], src)
 
     def sub_multiple(self, c, kappa, other, field):
         """self - c * d^kappa o other, on both blocks."""
@@ -93,58 +133,86 @@ class CompletionTrace:
     provisos: list = dc_field(default_factory=list)
 
 
+@dataclass(eq=False)
 class JanetRow:
     """One basis row with its Janet data."""
 
-    def __init__(self, op_row, src_row, lead, mult_vars, class_label):
-        self.op = op_row
-        self.src = src_row
-        self.lead = lead
-        self.mult_vars = mult_vars
-        self.class_label = class_label
+    op: list
+    src: list | None
+    lead: tuple
+    mult_vars: frozenset
+    class_label: int
 
     def __repr__(self):
         col, mu = self.lead
         return f"JanetRow(lead={mono_str(mu) or '1'}@{col}, mult={sorted(self.mult_vars)})"
 
 
-class InvolutiveBasis:
-    """Autoreduced Janet basis of the row module of an operator matrix."""
+# Reductions one add or one tail reduction may make; prolongations stop at
+# order 2q + 6 for rows of order up to q.
+MAX_STEPS = 10_000
 
-    def __init__(self, field, ncols, order, rows, trace, input_matrix):
-        self.field = field
-        self.ncols = ncols
+
+class _Budget:
+    def __init__(self, max_order):
+        self.max_order = max_order
+        self.steps = 0
+
+    def tick(self):
+        self.steps += 1
+        if self.steps > MAX_STEPS:
+            raise ResourceLimit(f"reduction budget exceeded ({MAX_STEPS})")
+
+    def check_order(self, o):
+        if o > self.max_order:
+            raise ResourceLimit(f"prolongation order budget exceeded ({self.max_order})")
+
+
+class InvolutiveBasis:
+    """Janet basis of the row module of an operator matrix, grown by add.
+
+    The basis takes its columns and labels from input_matrix.  With
+    track_src every row also records itself as a D-combination of the
+    input rows, so such a basis adds its input and nothing else; without
+    it the basis can grow by any rows.
+    """
+
+    def __init__(self, input_matrix, order, session, track_src=False):
+        self.field = input_matrix.field
+        self.ncols = input_matrix.cols
         self.order = order
-        self._rows = rows              # list of _Row, monic, with mult vars
-        self._mult = []                # parallel list of frozensets
-        self.trace = trace
+        self.session = session
         self.input = input_matrix
-        self._assign_mult()
+        self.track_src = track_src
+        self.trace = CompletionTrace(provisos=session.provisos)
+        self._rows = []                # list of _Row, monic, with mult vars
+        self._mult = []                # parallel list of frozensets
+        self._q = 0                    # highest order added
 
     # -- Janet structure -------------------------------------------------
 
-    def _assign_mult(self):
-        groups = {}
-        for idx, r in enumerate(self._rows):
+    def _leads(self):
+        """Lead monomials of the rows, by column."""
+        leads = {}
+        for r in self._rows:
             col, mu = r.lead(self.order)
-            groups.setdefault(col, []).append((idx, mu))
-        self._mult = [None] * len(self._rows)
+            leads.setdefault(col, []).append(mu)
+        return leads
+
+    def _assign_mult(self):
         seq = self.order.seq(self.field.n)
-        for col, members in groups.items():
-            mult = janet_multiplicative([mu for _, mu in members], seq)
-            for (idx, _), m in zip(members, mult):
-                self._mult[idx] = m
+        mult = {col: dict(zip(mus, janet_multiplicative(mus, seq)))
+                for col, mus in self._leads().items()}
+        self._mult = [mult[col][mu] for col, mu in
+                      (r.lead(self.order) for r in self._rows)]
 
     @property
     def rows(self):
-        out = []
         seq = self.order.seq(self.field.n)
+        out = []
         for r, mult in zip(self._rows, self._mult):
             col, mu = r.lead(self.order)
-            cls = 0
-            for var in seq:
-                if mu[var - 1] > 0:
-                    cls = var
+            cls = next((v for v in reversed(seq) if mu[v - 1]), 0)
             out.append(JanetRow(list(r.op), None if r.src is None else list(r.src),
                                 (col, mu), mult, cls))
         return out
@@ -162,7 +230,7 @@ class InvolutiveBasis:
                                   col_labels=self.input.col_labels)
 
     def src_matrix(self):
-        if any(r.src is None for r in self._rows):
+        if not self.track_src:
             return None
         ent = [list(r.src) for r in self._rows]
         return OpMatrix.from_rows(self.field, ent, self.input.rows,
@@ -212,11 +280,7 @@ class InvolutiveBasis:
         return work
 
     def normal_form(self, op_row):
-        """Involutive normal form of a plain 1 x m row (list or OpMatrix)."""
-        if isinstance(op_row, OpMatrix):
-            if op_row.rows != 1:
-                raise ValueError("normal_form expects a single row")
-            op_row = op_row.row(0)
+        """Involutive normal form of a plain row, a list of m operators."""
         row = _Row([ScalarOp.constant(self.field, 0) + e for e in op_row], None)
         return self.reduce_row(row).op
 
@@ -228,36 +292,118 @@ class InvolutiveBasis:
 
     def verify_involutive(self):
         """Janet criterion: every nonmultiplicative prolongation reduces to 0."""
+        return all(self.contains([ScalarOp.d(self.field, i) * e for e in r.op])
+                   for r, mult in zip(self._rows, self._mult)
+                   for i in range(1, self.field.n + 1) if i not in mult)
+
+    # -- completion -------------------------------------------------------
+
+    def add(self, A):
+        """Add the rows of A and complete in place.
+
+        Each call has its own budget of MAX_STEPS reductions, and
+        prolongations stop at order 2q + 6, q the highest order added.
+        """
+        if self.track_src and A is not self.input:
+            raise ValueError("a basis that tracks sources adds only its input")
+        field, order, trace = self.field, self.order, self.trace
+        self._q = max(self._q, A.order)
+        budget = _Budget(2 * self._q + 6)
+        pending = []  # (row, expected order or None, origin)
+        for i in range(A.rows):
+            src = ([ScalarOp.constant(field, int(k == i)) for k in range(A.rows)]
+                   if self.track_src else None)
+            row = _Row(A.row(i), src)
+            origin = f"input {A.row_labels[i]}"
+            if not row.op_is_zero:
+                pending.append((row, None, origin))
+            elif not row.src_is_zero:
+                trace.cc_rows.append(row.src)
+                trace.steps.append({"event": "cc", "from": origin})
+        while True:
+            if not pending:
+                task = self._next_prolongation(budget)
+                if task is None:
+                    break
+                pending.append(task)
+            pending.sort(key=lambda item: order.module_key(
+                item[0].lead(order), self.ncols))
+            row, expected, origin = pending.pop(0)
+            h = self.reduce_row(row, budget)
+            if h.op_is_zero:
+                if not h.src_is_zero:
+                    trace.cc_rows.append(h.src)
+                    trace.steps.append({"event": "cc", "from": origin})
+                else:
+                    trace.steps.append({"event": "zero", "from": origin})
+                continue
+            lead_ord = h.lead_order(order)
+            h = h.monic(order, self.session)
+            if expected is not None and lead_ord < expected:
+                trace.integrability_conditions.append(
+                    OpMatrix.from_rows(field, [list(h.op)], self.ncols,
+                                       col_labels=self.input.col_labels))
+                trace.steps.append({"event": "integrability", "from": origin,
+                                    "order": lead_ord})
+            for b in self._insert(h):
+                pending.append((b, None, "displaced"))
+            trace.steps.append({"event": "add", "from": origin,
+                                "lead": h.lead(order), "order": lead_ord})
+        self._keep_minimal()
+
+    def _keep_minimal(self):
+        """Drop the rows whose leads the minimal Janet basis does without.
+
+        Growing a completed basis can leave it complete but not minimal,
+        with rows that only the earlier leads needed.  The remaining rows
+        still form a Janet basis, since their leads are Janet-complete.
+        """
+        seq = self.order.seq(self.field.n)
+        needed = {(col, mu) for col, mus in self._leads().items()
+                  for mu in minimal_janet_leads(mus, seq)}
+        if len(needed) < len(self._rows):
+            self._rows = [r for r in self._rows
+                          if r.lead(self.order) in needed]
+            self._assign_mult()
+
+    def _insert(self, h):
+        """Put h in the basis; return the rows whose lead h's lead divides."""
+        col, mu = h.lead(self.order)
+        displaced = [b for b in self._rows if b.lead(self.order)[0] == col
+                     and mono_le(mu, b.lead(self.order)[1])]
+        self._rows = [b for b in self._rows if b not in displaced] + [h]
+        self._assign_mult()
+        return displaced
+
+    def _next_prolongation(self, budget):
+        """The first nonmultiplicative prolongation no row has made yet."""
         for r, mult in zip(self._rows, self._mult):
             for i in range(1, self.field.n + 1):
-                if i in mult:
+                if i in mult or i in r.prolonged:
                     continue
+                r.prolonged.add(i)
+                budget.check_order(r.lead_order(self.order) + 1)
                 di = ScalarOp.d(self.field, i)
-                prol = _Row([di * e for e in r.op], None)
-                if not all(e.is_zero for e in self.reduce_row(prol).op):
-                    return False
-        return True
+                prol = _Row([di * e for e in r.op],
+                            None if r.src is None else [di * e for e in r.src])
+                return (prol, r.lead_order(self.order) + 1,
+                        f"d{i} prolongation")
+        return None
 
+    def tail_reduce(self):
+        """Reduce every row below its lead; leads and prolonged sets stay.
 
-# Reductions one completion may make; prolongations stop at order 2q + 6
-# for an input of order q.
-MAX_STEPS = 10_000
-
-
-class _Budget:
-    def __init__(self, max_steps, max_order):
-        self.max_steps = max_steps
-        self.max_order = max_order
-        self.steps = 0
-
-    def tick(self):
-        self.steps += 1
-        if self.steps > self.max_steps:
-            raise ResourceLimit(f"reduction budget exceeded ({self.max_steps})")
-
-    def check_order(self, o):
-        if o > self.max_order:
-            raise ResourceLimit(f"prolongation order budget exceeded ({self.max_order})")
+        A row can never reduce its own tail (tail terms are smaller than
+        its lead), so the full Janet assignment is safe to use throughout;
+        leads are untouched and one pass per row suffices.
+        """
+        budget = _Budget(2 * self._q + 6)
+        for idx, r in enumerate(list(self._rows)):
+            work = self.reduce_row(r, budget, tail=True)
+            if work is not r:
+                work._lead = r.lead(self.order)
+                work.prolonged = r.prolonged
+                self._rows[idx] = work
 
 
 def complete(A, order=None, session=None, track_src=True):
@@ -267,110 +413,13 @@ def complete(A, order=None, session=None, track_src=True):
     the integrability conditions (rows whose order dropped below their
     prolongation order) and every compatibility condition met on the way.
     """
-    field = A.field
-    order = order or DEFAULT_ORDER
-    session = session or Session(field)
     if A.rows and A.cols == 0:
         raise ValueError("cannot complete a matrix with no columns")
-    q = max(A.order, 0)
-    budget = _Budget(MAX_STEPS, 2 * q + 6)
-    trace = CompletionTrace(provisos=session.provisos)
-    basis = InvolutiveBasis(field, A.cols, order, [], trace, A)
-
-    pending = []  # (row, expected_order or None)
-    for i in range(A.rows):
-        src = None
-        if track_src:
-            src = [ScalarOp.constant(field, 1 if k == i else 0)
-                   for k in range(A.rows)]
-        row = _Row(A.row(i), src)
-        if row.op_is_zero:
-            if track_src and not row.src_is_zero:
-                trace.cc_rows.append(row.src)
-                trace.steps.append({"event": "cc", "from": f"input {A.row_labels[i]}"})
-            continue
-        pending.append((row, None, f"input {A.row_labels[i]}"))
-
-    done_prolongations = set()  # (row index, var) since the last insertion
-
-    def insert(h):
-        col, mu = h.lead(order)
-        kept, displaced = [], []
-        for b in basis._rows:
-            bcol, bmu = b.lead(order)
-            if bcol == col and mono_le(mu, bmu):
-                displaced.append(b)
-            else:
-                kept.append(b)
-        basis._rows = kept + [h]
-        basis._assign_mult()
-        done_prolongations.clear()
-        return displaced
-
-    while True:
-        if pending:
-            pending.sort(key=lambda item: order.module_key(
-                item[0].lead(order), A.cols))
-            row, expected, origin = pending.pop(0)
-            h = basis.reduce_row(row, budget)
-            if h.op_is_zero:
-                if track_src and not h.src_is_zero:
-                    trace.cc_rows.append(h.src)
-                    trace.steps.append({"event": "cc", "from": origin})
-                else:
-                    trace.steps.append({"event": "zero", "from": origin})
-                continue
-            lead_ord = h.lead_order(order)
-            session.check_pivot(h.lead_coeff(order))
-            h = h.scaled(h.lead_coeff(order).inverse())
-            if expected is not None and lead_ord < expected:
-                trace.integrability_conditions.append(
-                    OpMatrix.from_rows(field, [list(h.op)], A.cols,
-                                       col_labels=A.col_labels))
-                trace.steps.append({"event": "integrability", "from": origin,
-                                    "order": lead_ord})
-            displaced = insert(h)
-            trace.steps.append({"event": "add", "from": origin,
-                                "lead": h.lead(order), "order": lead_ord})
-            for b in displaced:
-                pending.append((b, None, "displaced"))
-            continue
-        # no pending work: look for an unprocessed nonmultiplicative prolongation
-        task = None
-        for idx, (r, mult) in enumerate(zip(basis._rows, basis._mult)):
-            for i in range(1, field.n + 1):
-                if i in mult or (idx, i) in done_prolongations:
-                    continue
-                task = (idx, i)
-                break
-            if task:
-                break
-        if task is None:
-            break
-        idx, i = task
-        done_prolongations.add((idx, i))
-        r = basis._rows[idx]
-        budget.check_order(r.lead_order(order) + 1)
-        di = ScalarOp.d(field, i)
-        prol = _Row([di * e for e in r.op],
-                    None if r.src is None else [di * e for e in r.src])
-        pending.append((prol, r.lead_order(order) + 1,
-                        f"d{i} prolongation"))
-
-    # tail reduction: a row can never reduce its own tail (tail terms are
-    # smaller than its lead), so the full Janet assignment is safe to use
-    # throughout; leads are untouched and one pass per row suffices
-    for idx, r in enumerate(list(basis._rows)):
-        work = basis.reduce_row(r, budget, tail=True)
-        if work is not r:
-            work._lead = r.lead(order)
-            basis._rows[idx] = work
+    basis = InvolutiveBasis(A, order or DEFAULT_ORDER,
+                            session or Session(A.field), track_src)
+    basis.add(A)
+    basis.tail_reduce()
     return basis
-
-
-def involutive_normal_form(op_row, basis):
-    """Public reduction: no term of the result is Janet-divisible by basis."""
-    return basis.normal_form(op_row)
 
 
 def janet_board(basis):
@@ -395,26 +444,21 @@ def board_of_matrix(A, order=None, session=None):
     """
     order = order or DEFAULT_ORDER
     session = session or Session(A.field)
-    rows = []
+    basis = InvolutiveBasis(A, order, session)
     for i in range(A.rows):
         r = _Row(A.row(i), None)
-        if r.op_is_zero:
-            continue
-        session.check_pivot(r.lead_coeff(order))
-        rows.append(r.scaled(r.lead_coeff(order).inverse()))
-    basis = InvolutiveBasis(A.field, A.cols, order, rows,
-                            CompletionTrace(provisos=session.provisos), A)
+        if not r.op_is_zero:
+            basis._rows.append(r.monic(order, session))
+    basis._assign_mult()
     return janet_board(basis)
 
 
 def board_text(basis):
     """Render the board in the boxed style: one line per row."""
+    seq = basis.order.seq(basis.field.n)
     lines = []
     for entry in janet_board(basis):
-        cells = []
-        seq = basis.order.seq(basis.field.n)
-        for var in seq:
-            cells.append(str(var) if var in entry["mult_vars"] else ".")
+        cells = [str(v) if v in entry["mult_vars"] else "." for v in seq]
         lines.append("| " + " ".join(cells) + " |  " + entry["lead"])
     return "\n".join(lines)
 
@@ -430,61 +474,28 @@ class ParametricCount:
 def count_parametric(basis):
     """Count jet coordinates not reducible modulo the basis leads."""
     n = basis.field.n
-    leads = {}
-    for r in basis._rows:
-        col, mu = r.lead(basis.order)
-        leads.setdefault(col, []).append(mu)
+    leads = basis._leads()
     std = {}
-    finite = True
     for col in range(basis.ncols):
         mus = leads.get(col, [])
-        if not mus:
-            finite = False
-            std[col] = None
-            continue
-        bounds = []
-        for i in range(n):
-            pure = [mu[i] for mu in mus if all(mu[j] == 0 for j in range(n) if j != i)]
-            if not pure:
-                bounds = None
-                break
-            bounds.append(min(pure))
-        if bounds is None:
-            finite = False
-            std[col] = None
-            continue
-        cells = []
-        from itertools import product
-        for point in product(*[range(b) for b in bounds]):
-            if not any(mono_le(mu, point) for mu in mus):
-                cells.append(tuple(point))
-        std[col] = sorted(cells)
-    if not finite:
-        return ParametricCount(False, None, std, _hilbert(basis, leads))
-    dim = sum(len(v) for v in std.values())
-    return ParametricCount(True, dim, std, _hilbert(basis, leads))
+        # the least pure power of each variable among the leads, if any
+        bounds = [min((mu[i] for mu in mus if sum(mu) == mu[i]), default=None)
+                  for i in range(n)]
+        std[col] = None if not mus or None in bounds else [
+            point for point in product(*[range(b) for b in bounds])
+            if not any(mono_le(mu, point) for mu in mus)]
+    finite = None not in std.values()
+    dim = sum(len(v) for v in std.values()) if finite else None
+    return ParametricCount(finite, dim, std, _hilbert(basis, leads))
 
 
 def _hilbert(basis, leads):
     """Standard-monomial counts by order, up to the basis order + 1."""
     n = basis.field.n
-    top = max(basis.max_order + 1, 1)
     counts = {}
-    for deg in range(top + 1):
-        total = 0
-        for col in range(basis.ncols):
-            mus = leads.get(col, [])
-            for point in _monos_of_degree(n, deg):
-                if not any(mono_le(mu, point) for mu in mus):
-                    total += 1
-        counts[deg] = total
+    for deg in range(max(basis.max_order + 1, 1) + 1):
+        points = [tuple(c.count(i) for i in range(n))
+                  for c in combinations_with_replacement(range(n), deg)]
+        counts[deg] = sum(1 for col in range(basis.ncols) for p in points
+                          if not any(mono_le(mu, p) for mu in leads.get(col, [])))
     return counts
-
-
-def _monos_of_degree(n, deg):
-    if n == 1:
-        yield (deg,)
-        return
-    for first in range(deg + 1):
-        for rest in _monos_of_degree(n - 1, deg - first):
-            yield (first,) + rest

@@ -11,39 +11,29 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .field import ResourceLimit, Session
-from .janet import _Row, complete
+from .janet import InvolutiveBasis, _Row, complete
 from .ops import DEFAULT_ORDER, OpMatrix
 
 
 def _minimalize(field, rows, ncols, order, session, labels):
-    """Keep an inclusion-minimal generating subset of the given rows."""
+    """Keep an inclusion-minimal generating subset of the given rows.
+
+    One basis grows by each kept row; a row it already contains is
+    dropped.
+    """
     mats = [OpMatrix.from_rows(field, [list(r)], ncols, col_labels=labels)
             for r in rows]
-    mats.sort(key=lambda m: (m.order,
-                             order.module_key(_lead_of(m, order), ncols)))
-    kept = None
+    mats.sort(key=lambda m: (m.order, order.module_key(
+        _Row(m.row(0), None).lead(order), ncols)))
+    kept = InvolutiveBasis(OpMatrix.zero(field, 0, ncols, col_labels=labels),
+                           order, session)
     kept_rows = []
     for m in mats:
-        if kept is not None and kept.contains(m.row(0)):
+        if kept.contains(m.row(0)):
             continue
         kept_rows.append(m.row(0))
-        kept = complete(OpMatrix.from_rows(field, [list(r) for r in kept_rows],
-                                           ncols, col_labels=labels),
-                        order=order, session=session, track_src=False)
+        kept.add(m)
     return kept_rows
-
-
-def _lead_of(mat, order):
-    return _Row(mat.row(0), None).lead(order) or (0, (0,) * mat.field.n)
-
-
-def _monic_row(field, entries, ncols, order, session):
-    mat = OpMatrix.from_rows(field, [list(entries)], ncols)
-    j, mu = _lead_of(mat, order)
-    c = mat.entries[0][j].terms[mu]
-    session.check_pivot(c)
-    inv = c.inverse()
-    return [e.scale(inv) for e in entries]
 
 
 def compatibility_conditions(A, order=None, session=None):
@@ -73,7 +63,7 @@ def _cc_and_completion(A, order, session):
     if A.rows == 0:
         return OpMatrix.zero(field, 0, 0), None
     basis = complete(A, order=order, session=session, track_src=True)
-    raw = [r for r in basis.trace.cc_rows]
+    raw = basis.trace.cc_rows
     if not raw:
         return OpMatrix.zero(field, 0, A.rows, col_labels=A.row_labels), basis
     # The raw syzygies generate, but the unexpectedly low-order conditions
@@ -84,7 +74,7 @@ def _cc_and_completion(A, order, session):
                          track_src=False)
     candidates = [list(r.op) for r in syz_basis._rows]
     kept = _minimalize(field, candidates, A.rows, order, session, A.row_labels)
-    kept = [_monic_row(field, r, A.rows, order, session) for r in kept]
+    kept = [_Row(r, None).monic(order, session).op for r in kept]
     labels = [f"z{i+1}" for i in range(len(kept))]
     return OpMatrix.from_rows(field, kept, A.rows, row_labels=labels,
                               col_labels=A.row_labels), basis
@@ -137,12 +127,7 @@ def classify_operator(A, basis, order=None):
     order = order or DEFAULT_ORDER
     formally_integrable = not basis.trace.integrability_conditions
     added = {r.lead for r in basis.rows}
-    input_leads = set()
-    for i in range(A.rows):
-        mat = OpMatrix.from_rows(A.field, [A.row(i)], A.cols)
-        if mat.is_zero:
-            continue
-        input_leads.add(_lead_of(mat, order))
+    input_leads = {_Row(A.row(i), None).lead(order) for i in range(A.rows)}
     involutive = added <= input_leads
     return formally_integrable, involutive
 

@@ -23,6 +23,22 @@ def load_corpus_system(name):
     return elaborate(parse_system(src))
 
 
+def flat_killing_source(n):
+    """.dms text of the flat Killing operator on n variables.
+
+    Rows d_j(xi_i) + d_i(xi_j) for i < j, and the halved diagonal rows
+    d_i(xi_i), labelled and ordered as in killing_flat_n2.dms.
+    """
+    lines = [f"system killing_flat_n{n};",
+             "vars " + ", ".join(f"x{i}" for i in range(1, n + 1)) + ";",
+             "unknowns " + ", ".join(f"xi{i}" for i in range(1, n + 1)) + ";"]
+    for i in range(1, n + 1):
+        lines.append(f"K{i}{i}: d{i}(xi{i}) = o{i}{i};")
+        lines += [f"K{i}{j}: d{j}(xi{i}) + d{i}(xi{j}) = o{i}{j};"
+                  for j in range(i + 1, n + 1)]
+    return "\n".join(lines) + "\n"
+
+
 def corpus_session(field, matrix, meta, extra=()):
     """Session of a corpus system, extra being --assume style items."""
     return load_problem((field, matrix, meta), extra).session
@@ -55,6 +71,29 @@ def random_scalar_op(field, rng, max_order=2, terms=2):
             mu[rng.randrange(field.n)] += 1
         op = op + ScalarOp.monomial(field, tuple(mu), random_ratfunc(field, rng))
     return op
+
+
+def random_constant_system(seed):
+    """A seeded constant-coefficient system: 2 or 3 variables, 1 to 3
+    unknowns, 2 to 4 rows of up to two terms of order 1 or 2 per entry,
+    coefficients in +-1..+-3."""
+    rng = random.Random(seed)
+    field = DiffField(rng.choice((2, 3)))
+    cols = rng.randint(1, 3)
+    rows = []
+    for _ in range(rng.randint(2, 4)):
+        row = []
+        for _ in range(cols):
+            op = ScalarOp.zero(field)
+            for _ in range(rng.randint(0, 2)):
+                mu = [0] * field.n
+                for _ in range(rng.randint(1, 2)):
+                    mu[rng.randrange(field.n)] += 1
+                c = rng.choice((-3, -2, -1, 1, 2, 3))
+                op = op + ScalarOp.monomial(field, tuple(mu), field.ratfunc(c))
+            row.append(op)
+        rows.append(row)
+    return OpMatrix(field, rows)
 
 
 def random_matrix(field, rng, rows, cols, max_order=1):

@@ -4,11 +4,12 @@ import pytest
 import sympy as sp
 
 from diffmod import janet
-from diffmod.field import DiffField, ResourceLimit
-from diffmod.janet import (board_of_matrix, complete, count_parametric,
-                           janet_board)
-from diffmod.ops import OpMatrix, ScalarOp, TermOrder
-from conftest import corpus_session, load_corpus_system, random_matrix
+from diffmod.field import DiffField, ResourceLimit, Session
+from diffmod.janet import (InvolutiveBasis, board_of_matrix, complete,
+                           count_parametric, janet_board)
+from diffmod.ops import DEFAULT_ORDER, OpMatrix, ScalarOp, TermOrder
+from conftest import (corpus_session, load_corpus_system,
+                      random_constant_system, random_matrix)
 
 
 F = DiffField(2)
@@ -181,7 +182,33 @@ def test_trace_replays_basis_rows():
 
 
 def test_step_budget_raises_resource_limit(monkeypatch):
-    field, matrix, meta = load_corpus_system("contact_pfaffian")
+    # finite_type_pair needs 10 reductions to complete
+    field, matrix, meta = load_corpus_system("finite_type_pair")
     monkeypatch.setattr(janet, "MAX_STEPS", 3)
     with pytest.raises(ResourceLimit, match="reduction budget"):
         complete(matrix)
+
+
+def test_grown_basis_matches_completion():
+    """A basis grown one row at a time by add is the Janet basis that
+    completing the stacked rows gives: same leads, same module, and both
+    pass the Janet criterion."""
+    for seed in range(100):
+        A = random_constant_system(seed)
+        full = complete(A, track_src=False)
+        grown = InvolutiveBasis(OpMatrix.zero(A.field, 0, A.cols),
+                                DEFAULT_ORDER, Session(A.field))
+        for i in range(A.rows):
+            grown.add(OpMatrix.from_rows(A.field, [A.row(i)], A.cols))
+        assert sorted(r.lead for r in grown.rows) == \
+            sorted(r.lead for r in full.rows), seed
+        assert full.contains_matrix(grown.matrix()), seed
+        assert grown.contains_matrix(full.matrix()), seed
+        assert full.verify_involutive() and grown.verify_involutive(), seed
+
+
+def test_a_basis_with_sources_adds_only_its_input():
+    field, matrix, meta = load_corpus_system("killing_flat_n2")
+    basis = complete(matrix)
+    with pytest.raises(ValueError, match="only its input"):
+        basis.add(OpMatrix.from_rows(field, [matrix.row(0)], matrix.cols))

@@ -1,13 +1,16 @@
 import pytest
 import sympy as sp
 
+from diffmod import syzygy
+from diffmod.dsl import elaborate, parse_system
 from diffmod.field import DiffField
 from diffmod.janet import complete
 from diffmod.ops import OpMatrix, ScalarOp
+from diffmod.spencer import classical_dims
 from diffmod.syzygy import (build_sequence, compatibility_conditions,
                             differential_rank)
-from conftest import (CORPUS_NAMES, corpus_session, load_corpus_system,
-                      random_matrix, random_poly)
+from conftest import (CORPUS_NAMES, corpus_session, flat_killing_source,
+                      load_corpus_system, random_matrix, random_poly)
 
 
 F = DiffField(2)
@@ -175,3 +178,48 @@ def test_cc_of_zero_operator_is_identity_in_input_order():
     assert cc == OpMatrix.identity(F, 3)
     assert cc.row_labels == ["z1", "z2", "z3"]
     assert cc.col_labels == ["eq1", "eq2", "eq3"]
+
+
+def _flat_killing(n):
+    _, matrix, _ = elaborate(parse_system(flat_killing_source(n)))
+    return matrix
+
+
+def test_flat_killing_source_is_the_corpus_operator():
+    _, fixture, _ = load_corpus_system("killing_flat_n2")
+    ours = _flat_killing(2)
+    assert ours == fixture
+    assert (ours.row_labels, ours.col_labels) == \
+        (fixture.row_labels, fixture.col_labels)
+
+
+def test_killing_cc_minimalizes_on_one_growing_basis(monkeypatch):
+    """Flat Killing, n = 4: the 20 CC rows take two completions, of the
+    operator and of its raw syzygies; minimalizing them completes nothing
+    more, however many rows it keeps."""
+    calls = []
+    real = syzygy.complete
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].rows)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(syzygy, "complete", counted)
+    A = _flat_killing(4)
+    cc = compatibility_conditions(A)
+    assert cc.rows == 20
+    assert cc.compose(A).is_zero
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_killing_sequence_matches_the_spencer_table(n):
+    """Cross-check of the operator pipeline against the symbol rule: the
+    sequence of the flat Killing operator has the shape and orders of
+    spencer.classical_dims."""
+    table = classical_dims("killing", n)
+    seq = build_sequence(_flat_killing(n))
+    assert seq.terminated
+    assert list(seq.shape) == table["dims"]
+    assert seq.orders == table["orders"]
+    assert all(seq.certificates)
