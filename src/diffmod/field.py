@@ -7,15 +7,23 @@ d/dx_i + sum_mu (df/da_mu) a_{mu+1_i}, and a rewrite rule such as
 d1(alpha) = alpha*gamma + c*alpha^2 replaces a jet by its right side.
 
 An element is one cancelled fraction of sparse integer polynomials in the
-generators (a sympy FracElement), so equality and the zero test are
-exact; `RatFunc.expr` is a sympy view for printing.  Pivot inversions go
-through a Session, which records the nonzero provisos a computation
-consumed.
+generators (a sympy FracElement): coprime numerator and denominator, the
+denominator's leading coefficient positive, exactly as sympy's cancel
+leaves them.  That is the only representation of a value, so equality
+and the zero test are exact; `RatFunc.expr` is a sympy view for printing.
+Arithmetic on two rational constants runs on integers, through a
+Fraction that lives only inside that one operation, and a product with a
+rational constant needs only integer gcds; either result is stored as
+the same cancelled FracElement.  Pivot inversions go through a Session,
+which records the nonzero provisos a computation consumed.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
+from fractions import Fraction
 
 import sympy as sp
 from sympy.polys.domains import ZZ
@@ -78,6 +86,19 @@ def _gen_key(g):
 def _used(p):
     """Generators occurring in a polynomial."""
     return {s for s, d in zip(p.ring.symbols, p.degrees()) if d > 0}
+
+
+def _ground(p):
+    """The integer a constant polynomial stands for; None for any other."""
+    if not p:
+        return 0
+    return p.get(p.ring.zero_monom) if len(p) == 1 else None
+
+
+def _rational(f):
+    """The value of a constant fraction as a Fraction; None for any other."""
+    n, d = _ground(f.numer), _ground(f.denom)
+    return None if n is None or d is None else Fraction(int(n), int(d))
 
 
 def _cancel_lc(p):
@@ -155,13 +176,20 @@ class DiffField:
                 return RatFunc(self, value.expr)
             return value
         if isinstance(value, int):
-            return RatFunc(self, self._frac(value))
+            return self._constant(value)
         if isinstance(value, str):
             local = {name: self.symbol(name) for name in
                      itertools.chain(self.var_names, self.param_names,
                                      self.func_param_names)}
             value = sp.sympify(value, locals=local)
         return RatFunc(self, value)
+
+    def _constant(self, q):
+        """The element of an int or Fraction, built as cancel would build
+        it: the two are coprime and the denominator is positive."""
+        ring = self._frac.ring
+        return RatFunc(self, self._frac.dtype(ring.ground_new(q.numerator),
+                                              ring.ground_new(q.denominator)))
 
     def add_rule(self, func_name, base_index, rhs):
         """Declare a directed rewrite d^base(func) -> rhs.
@@ -231,6 +259,8 @@ class DiffField:
         if not 1 <= i <= self.n:
             raise IndexError(f"derivation index {i} out of range 1..{self.n}")
         f = self.ratfunc(f)
+        if f.frac.numer.is_ground and f.frac.denom.is_ground:
+            return self.zero
         steps = {}
         for g in f.generators():
             if g == self.vars[i - 1]:
@@ -246,6 +276,7 @@ class DiffField:
             return sum((s.frac * p.diff(self._index[g])
                         for g, s in steps.items()), self._frac.zero)
 
+        # a new jet may have extended the generators: read f after it
         num, den = f.frac.numer, f.frac.denom
         if den.is_ground:
             return RatFunc(self, dpoly(num) / den)
@@ -334,7 +365,7 @@ class RatFunc:
 
     @property
     def is_one(self):
-        return self._f.numer.is_one and self._f.denom.is_one
+        return _ground(self._f.numer) == 1 and _ground(self._f.denom) == 1
 
     def generators(self):
         """The generators (sympy symbols and jets) the element involves."""
@@ -351,13 +382,40 @@ class RatFunc:
             return other
         return self.field.ratfunc(other)
 
+    def _apply(self, op, other):
+        """self op other.  Rational constants skip sympy's polynomial gcd:
+        two of them meet as Fractions, and a product with one needs only
+        integer gcds (see _scaled)."""
+        a, b = _rational(self._f), _rational(other._f)
+        if a is not None and b is not None:
+            return self.field._constant(op(a, b))
+        if op is operator.mul and a is not None:
+            return other._scaled(a)
+        if op is operator.mul and b is not None:
+            return self._scaled(b)
+        if op is operator.truediv and b is not None:
+            return self._scaled(1 / b)
+        return RatFunc(self.field, op(self.frac, other.frac))
+
+    def _scaled(self, q):
+        """self * q for a nonzero Fraction q = a/b.  The numerator p and
+        denominator r of self are coprime, so a*p and b*r share only
+        gcd(a, content r) * gcd(b, content p), and r keeps its positive
+        leading coefficient: the fraction cancel would give."""
+        p, r = self.frac.numer, self.frac.denom
+        g = math.gcd(q.numerator, int(r.content()))
+        h = math.gcd(q.denominator, int(p.content()))
+        p = p.mul_ground(q.numerator // g).quo_ground(h)
+        r = r.mul_ground(q.denominator // h).quo_ground(g)
+        return RatFunc(self.field, self.field._frac.dtype(p, r))
+
     def __add__(self, other):
         other = self._coerce(other)
         if self.is_zero:
             return other
         if other.is_zero:
             return self
-        return RatFunc(self.field, self.frac + other.frac)
+        return self._apply(operator.add, other)
 
     __radd__ = __add__
 
@@ -368,7 +426,7 @@ class RatFunc:
         other = self._coerce(other)
         if other.is_zero:
             return self
-        return RatFunc(self.field, self.frac - other.frac)
+        return self._apply(operator.sub, other)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -381,7 +439,7 @@ class RatFunc:
             return other
         if other.is_one:
             return self
-        return RatFunc(self.field, self.frac * other.frac)
+        return self._apply(operator.mul, other)
 
     __rmul__ = __mul__
 
@@ -391,7 +449,7 @@ class RatFunc:
             raise DivisionByZero("division by zero in coefficient field")
         if other.is_one:
             return self
-        return RatFunc(self.field, self.frac / other.frac)
+        return self._apply(operator.truediv, other)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self

@@ -114,14 +114,15 @@ class _Row:
         src = None if self.src is None else [e.scale(inv) for e in self.src]
         return _Row([e.scale(inv) for e in self.op], src)
 
-    def sub_multiple(self, c, kappa, other, field):
-        """self - c * d^kappa o other, on both blocks."""
-        mono = ScalarOp.monomial(field, kappa, c)
-        op = [a - (mono * b) for a, b in zip(self.op, other.op)]
+    def sub_multiple(self, c, kappa, other):
+        """self - c * d^kappa o other, on both blocks, in one pass."""
+        c = -c
+        op = [a.add_composed(c, kappa, b) for a, b in zip(self.op, other.op)]
         if self.src is None:
             src = None
         else:
-            src = [a - (mono * b) for a, b in zip(self.src, other.src)]
+            src = [a.add_composed(c, kappa, b)
+                   for a, b in zip(self.src, other.src)]
         return _Row(op, src)
 
 
@@ -168,6 +169,18 @@ class _Budget:
             raise ResourceLimit(f"prolongation order budget exceeded ({self.max_order})")
 
 
+class _TermKeys(dict):
+    """module_key of each (column, monomial) term, computed once."""
+
+    def __init__(self, order, ncols):
+        super().__init__()
+        self.order, self.ncols = order, ncols
+
+    def __missing__(self, term):
+        key = self[term] = self.order.module_key(term, self.ncols)
+        return key
+
+
 class InvolutiveBasis:
     """Janet basis of the row module of an operator matrix, grown by add.
 
@@ -188,6 +201,7 @@ class InvolutiveBasis:
         self._rows = []                # list of _Row, monic, with mult vars
         self._mult = []                # parallel list of frozensets
         self._q = 0                    # highest order added
+        self._keys = _TermKeys(order, self.ncols)
 
     # -- Janet structure -------------------------------------------------
 
@@ -262,8 +276,7 @@ class InvolutiveBasis:
                      if (j, mu) != skip]
             if not terms:
                 break
-            terms.sort(key=lambda t: self.order.module_key(t, self.ncols),
-                       reverse=True)
+            terms.sort(key=self._keys.__getitem__, reverse=True)
             hit = None
             for t in terms:
                 found = self._reducer(t)
@@ -274,7 +287,7 @@ class InvolutiveBasis:
                 break
             (j, mu), (r, kappa) = hit
             c = work.op[j].terms[mu]
-            work = work.sub_multiple(c, kappa, r, self.field)
+            work = work.sub_multiple(c, kappa, r)
             if budget is not None:
                 budget.tick()
         return work
@@ -326,8 +339,7 @@ class InvolutiveBasis:
                 if task is None:
                     break
                 pending.append(task)
-            pending.sort(key=lambda item: order.module_key(
-                item[0].lead(order), self.ncols))
+            pending.sort(key=lambda item: self._keys[item[0].lead(order)])
             row, expected, origin = pending.pop(0)
             h = self.reduce_row(row, budget)
             if h.op_is_zero:

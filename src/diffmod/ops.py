@@ -2,14 +2,15 @@
 
 Scalar operators store their coefficients to the LEFT of the derivative
 monomials; products commute the d_i past coefficients with the Leibniz
-rule d_i a = a d_i + da/dx_i.  Matrices over D represent operators
-between free modules, with the formal adjoint and composition used by
-every duality computation downstream.
+rule d_i a = a d_i + da/dx_i.  Every coefficient is a field element, one
+cancelled fraction (see field.py), and no other form of it is stored: a
+Fraction appears only inside a single field operation.  Matrices over D
+represent operators between free modules, with the formal adjoint and
+composition used by every duality computation downstream.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -57,10 +58,34 @@ def _add_into(terms, key, c):
         terms[key] = s
 
 
-def submonomials(mu):
-    """All kappa <= mu componentwise."""
-    ranges = [range(m + 1) for m in mu]
-    return itertools.product(*ranges)
+def _compose_into(terms, coeff, mu, other):
+    """terms += coeff * d^mu o other, by the Leibniz rule
+    d^mu o b = sum over kappa <= mu of binom(mu, kappa) d^kappa(b) d^(mu-kappa).
+
+    The Leibniz terms are summed per monomial first, so coeff multiplies
+    each sum once: with fractional coefficients the products are what
+    costs.  Each d^kappa(b) is derived once, from d^(kappa - e_j)(b) with
+    j the first index where kappa is nonzero, and a derivative that
+    vanishes ends its branch, since d of zero is zero: for a coefficient
+    free of x only kappa = 0 is visited.
+    """
+    n = len(mu)
+    acc = {}
+    for nu, b in other.terms.items():
+        stack = [((0,) * n, b, n)]  # kappa, d^kappa(b), indices it may grow
+        while stack:
+            kappa, db, top = stack.pop()
+            binom = mono_binom(mu, kappa)
+            _add_into(acc, mono_add(mono_sub(mu, kappa), nu),
+                      db if binom == 1 else db * binom)
+            for j in range(top):
+                if kappa[j] < mu[j]:
+                    d = db.derive(j + 1)
+                    if not d.is_zero:
+                        up = kappa[:j] + (kappa[j] + 1,) + kappa[j + 1:]
+                        stack.append((up, d, j + 1))
+    for key, v in acc.items():
+        _add_into(terms, key, v * coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -195,35 +220,20 @@ class ScalarOp:
         return ScalarOp._of(self.field,
                             {mu: v * c for mu, v in self.terms.items()})
 
-    def _compose_term(self, mu, coeff, other):
-        """coeff * d^mu applied (as composition) to every term of other."""
-        acc = {}
-        for nu, b in other.terms.items():
-            # product() lists kappa - e_j before kappa: one derive per kappa
-            derivs = {}
-            for kappa in submonomials(mu):
-                j = next((j for j, v in enumerate(kappa) if v), None)
-                if j is None:
-                    db = b
-                else:
-                    lower = kappa[:j] + (kappa[j] - 1,) + kappa[j + 1:]
-                    db = derivs[lower].derive(j + 1)
-                derivs[kappa] = db
-                if db.is_zero:
-                    continue
-                _add_into(acc, mono_add(mono_sub(mu, kappa), nu),
-                          db * mono_binom(mu, kappa))
-        if not coeff.is_one:
-            acc = {k: v * coeff for k, v in acc.items()}
-        return acc
+    def add_composed(self, coeff, kappa, other):
+        """self + coeff * d^kappa o other in one pass: the Leibniz terms
+        go straight into a copy of self's terms, with no operator built
+        for coeff * d^kappa, its product or its negation."""
+        terms = dict(self.terms)
+        _compose_into(terms, coeff, kappa, other)
+        return ScalarOp._of(self.field, terms)
 
     def __mul__(self, other):
         """Composition self o other in the operator sense."""
         other = self._coerce(other)
         total = {}
         for mu, a in self.terms.items():
-            for k, v in self._compose_term(mu, a, other).items():
-                _add_into(total, k, v)
+            _compose_into(total, a, mu, other)
         return ScalarOp._of(self.field, total)
 
     def __rmul__(self, other):

@@ -1,6 +1,8 @@
+import operator
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -228,3 +230,63 @@ def test_hash_survives_a_new_jet_generator():
     assert before == after
     assert hash(before) == hash(after)
     assert len({before, after}) == 1
+
+
+# A rational constant n/d, drawn with 0, +-1, negative and non-reduced
+# values (6/4, 3/-6) among them.
+CONSTANTS = st.tuples(st.integers(-12, 12),
+                      st.integers(-8, 8).filter(lambda d: d != 0))
+ARITH = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+def _constant(nd):
+    return F.ratfunc(nd[0]) / F.ratfunc(nd[1])
+
+
+def _assert_as_sympy_gives_it(got, want):
+    """got is the element sympy's fraction arithmetic gives as want: the
+    same cancelled numerator and denominator, equal, equally hashed and
+    printed."""
+    assert (got.frac.numer, got.frac.denom) == (want.numer, want.denom)
+    ref = RatFunc(F, want)
+    assert got == ref and hash(got) == hash(ref)
+    assert F.coeff_str(got) == F.coeff_str(ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(CONSTANTS, CONSTANTS)
+def test_rational_constants_take_the_integer_path_to_sympys_result(p, q):
+    a, b = _constant(p), _constant(q)
+    _assert_as_sympy_gives_it(a, F.ratfunc(p[0]).frac / F.ratfunc(p[1]).frac)
+    for op in ARITH:
+        if op is operator.truediv and b.is_zero:
+            continue
+        got = op(a, b)
+        _assert_as_sympy_gives_it(got, op(a.frac, b.frac))
+        value = op(Fraction(*p), Fraction(*q))
+        assert got.expr == sp.Rational(value.numerator, value.denominator)
+
+
+@settings(max_examples=60, deadline=None)
+@given(CONSTANTS, small_exprs(F), small_exprs(F), st.integers(1, 6))
+def test_constant_and_nonconstant_operands_match_sympy(p, e1, e2, m):
+    """Also with denominators of content m, as in x1/(6*x2), which the
+    constant's numerator can cancel against."""
+    a = _constant(p)
+    f = (F.ratfunc(f"({e1})/({m}*({e2}))") if F.ratfunc(e2)
+         else F.ratfunc(e1))
+    for op in ARITH:
+        for x, y in ((a, f), (f, a)):
+            if op is operator.truediv and y.is_zero:
+                continue
+            _assert_as_sympy_gives_it(op(x, y), op(x.frac, y.frac))
+
+
+def test_is_one_on_cancelled_values():
+    x1 = F.ratfunc("x1")
+    assert (x1 / x1).is_one
+    assert (F.ratfunc(2) / F.ratfunc(2)).is_one
+    assert (F.ratfunc(-3) / F.ratfunc(-3)).is_one
+    assert not F.ratfunc(-1).is_one
+    assert not x1.is_one
+    assert not F.zero.is_one

@@ -212,3 +212,37 @@ def test_a_basis_with_sources_adds_only_its_input():
     basis = complete(matrix)
     with pytest.raises(ValueError, match="only its input"):
         basis.add(OpMatrix.from_rows(field, [matrix.row(0)], matrix.cols))
+
+
+def test_one_pass_step_matches_composition():
+    """_Row.sub_multiple(c, kappa, b) is a - (c d^kappa) o b on the op and
+    the src block.  Under d1^3 d2 the coefficient x1**2 of b keeps its
+    derivatives in x1 up to the second and loses the rest; the jet
+    coefficients and 1/x2 keep all of theirs."""
+    G = DiffField(2, func_params=["a"])
+    a = G.ratfunc("a")
+    da = a.derive(1)
+
+    def op(*terms):
+        return ScalarOp(G, dict(terms))
+
+    b = janet._Row([op(((0, 0), "x1**2"), ((1, 0), a)),
+                    op(((0, 1), da), ((0, 0), 3))],
+                   [op(((0, 0), "1/x2")), op(((1, 1), "x1*x2"))])
+    row = janet._Row([op(((3, 1), 1), ((0, 0), "x2")), op(((2, 0), a))],
+                     [op(((0, 0), 1)), ScalarOp.zero(G)])
+    section = [G.ratfunc("x1**5*x2**2 + x2**3"), G.ratfunc("x1**4*x2 + a")]
+    for c, kappa in ((G.ratfunc("x1"), (3, 1)), (da, (1, 0)),
+                     (G.ratfunc(-2), (0, 0)), (G.ratfunc("x2/x1"), (0, 2))):
+        mono = ScalarOp.monomial(G, kappa, c)
+        got = row.sub_multiple(c, kappa, b)
+        for block, left, right in ((got.op, row.op, b.op),
+                                   (got.src, row.src, b.src)):
+            want = [x - mono * y for x, y in zip(left, right)]
+            assert [e.terms for e in block] == [e.terms for e in want]
+            # and as operators acting on a section: a(f) - c d^kappa(b(f))
+            acted = OpMatrix(G, [block]).apply_to_section(section)[0]
+            expect = (OpMatrix(G, [left]).apply_to_section(section)[0]
+                      - mono.apply(OpMatrix(G, [right])
+                                   .apply_to_section(section)[0]))
+            assert acted == expect

@@ -9,8 +9,9 @@ from diffmod.ops import OpMatrix, ScalarOp
 from diffmod.spencer import classical_dims
 from diffmod.syzygy import (build_sequence, compatibility_conditions,
                             differential_rank)
-from conftest import (CORPUS_NAMES, corpus_session, flat_killing_source,
-                      load_corpus_system, random_matrix, random_poly)
+from conftest import (CORPUS_NAMES, corpus_session, flat_conformal_source,
+                      flat_killing_source, load_corpus_system, random_matrix,
+                      random_poly)
 
 
 F = DiffField(2)
@@ -185,6 +186,11 @@ def _flat_killing(n):
     return matrix
 
 
+def _flat_conformal(n):
+    _, matrix, _ = elaborate(parse_system(flat_conformal_source(n)))
+    return matrix
+
+
 def test_flat_killing_source_is_the_corpus_operator():
     _, fixture, _ = load_corpus_system("killing_flat_n2")
     ours = _flat_killing(2)
@@ -212,14 +218,26 @@ def test_killing_cc_minimalizes_on_one_growing_basis(monkeypatch):
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_killing_sequence_matches_the_spencer_table(n):
-    """Cross-check of the operator pipeline against the symbol rule: the
-    sequence of the flat Killing operator has the shape and orders of
-    spencer.classical_dims."""
-    table = classical_dims("killing", n)
-    seq = build_sequence(_flat_killing(n))
+def _assert_sequence_matches_the_table(A, family, n):
+    table = classical_dims(family, n)
+    seq = build_sequence(A)
     assert seq.terminated
     assert list(seq.shape) == table["dims"]
     assert seq.orders == table["orders"]
     assert all(seq.certificates)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_killing_sequence_matches_the_spencer_table(n):
+    """Cross-check of the operator pipeline against the symbol rule: the
+    sequence of the flat Killing operator has the shape and orders of
+    spencer.classical_dims."""
+    _assert_sequence_matches_the_table(_flat_killing(n), "killing", n)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_conformal_sequence_matches_the_spencer_table(n):
+    """The same cross-check for the flat conformal Killing operator:
+    [3, 5, 5, 3] with orders [1, 3, 1] for n = 3, and [4, 9, 10, 9, 4]
+    with orders [1, 2, 2, 1] for n = 4."""
+    _assert_sequence_matches_the_table(_flat_conformal(n), "conformal", n)
