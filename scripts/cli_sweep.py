@@ -1,0 +1,86 @@
+"""Run every file subcommand of the CLI on every corpus system.
+
+    python3 scripts/cli_sweep.py OUTDIR
+
+Runs `python -m diffmod.cli` from the root of this checkout for the 10
+commands below on each `.dms` file of `src/diffmod/corpus`, one process
+at a time under PYTHONHASHSEED=0.  Each run leaves three files in
+OUTDIR/<case>/: `<command>.stdout` (standard output without its
+`elapsed_ms` line), `<command>.stderr` and `<command>.exit` (the exit
+status).  Nothing else in them depends on the clock or on where the
+checkout lives, so
+
+    diff -r PARENT_OUTDIR CHANGE_OUTDIR
+
+shows every output a change altered.  One line per run goes to standard
+output.  The exit status is 1 when a run printed a Python traceback or
+exited with a status other than 0 (success), 1 (error, e.g. not
+parametrizable) or 2 (case split required), else 0.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = Path("src", "diffmod", "corpus")     # relative: the path is printed
+COMMANDS = {
+    "complete": ["complete"],
+    "cc": ["cc"],
+    "sequence": ["sequence"],
+    "adjoint": ["adjoint"],
+    "rank": ["rank"],
+    "duality": ["duality"],
+    "torsion": ["torsion"],
+    "ext-i1": ["ext", "--i", "1"],
+    "ext-i2": ["ext", "--i", "2"],
+    "parametrize": ["parametrize"],
+}
+EXIT_CODES = (0, 1, 2)
+
+
+def main(argv):
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    out = Path(argv[0]).resolve()
+    env = dict(os.environ, PYTHONHASHSEED="0",
+               PYTHONPATH=str(ROOT / "src"))
+    runs, bad = 0, []
+    t_all = time.perf_counter()
+    for dms in sorted((ROOT / CORPUS).glob("*.dms")):
+        case = out / dms.stem
+        case.mkdir(parents=True, exist_ok=True)
+        for name, args in COMMANDS.items():
+            t0 = time.perf_counter()
+            run = subprocess.run(
+                [sys.executable, "-m", "diffmod.cli", *args,
+                 str(CORPUS / dms.name)],
+                cwd=ROOT, env=env, capture_output=True, text=True)
+            seconds = time.perf_counter() - t0
+            runs += 1
+            stdout = "".join(line for line in run.stdout.splitlines(True)
+                             if not line.lstrip().startswith('"elapsed_ms":'))
+            (case / f"{name}.stdout").write_text(stdout)
+            (case / f"{name}.stderr").write_text(run.stderr)
+            (case / f"{name}.exit").write_text(f"{run.returncode}\n")
+            flag = ""
+            if "Traceback" in run.stderr or run.returncode not in EXIT_CODES:
+                bad.append(f"{dms.stem} {name}")
+                flag = "  BAD"
+            print(f"{dms.stem:24} {name:12} exit {run.returncode}  "
+                  f"{seconds:6.2f} s{flag}", flush=True)
+    print(f"{runs} runs in "
+          f"{time.perf_counter() - t_all:.1f} s; "
+          f"{len(bad)} with a traceback or an unexpected exit status")
+    for run in bad:
+        print(f"  {run}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

@@ -16,6 +16,12 @@ Fraction that lives only inside that one operation, and a product with a
 rational constant needs only integer gcds; either result is stored as
 the same cancelled FracElement.  Pivot inversions go through a Session,
 which records the nonzero provisos a computation consumed.
+
+Meeting a new jet or symbol makes a new FracField over the grown,
+sorted generator set.  An element of an older one moves over when it is
+next read, by generator position: each old generator is the very object
+the field indexes, so the move is one dictionary lookup per generator
+and a remap of exponent tuples, with no sympy equality test.
 """
 
 from __future__ import annotations
@@ -99,6 +105,21 @@ def _rational(f):
     """The value of a constant fraction as a Fraction; None for any other."""
     n, d = _ground(f.numer), _ground(f.denom)
     return None if n is None or d is None else Fraction(int(n), int(d))
+
+
+def _move(p, to, ring):
+    """p in ring, generator k of p's ring becoming generator to[k]: an
+    integer position map, so no two generators are compared.  `to` maps
+    every generator p uses; a dict that misses one raises KeyError."""
+    zero = [0] * ring.ngens
+    terms = {}
+    for monom, coeff in p.iterterms():
+        m = zero.copy()
+        for k, e in enumerate(monom):
+            if e:
+                m[to[k]] = e
+        terms[tuple(m)] = coeff
+    return ring.dtype(terms)
 
 
 def _cancel_lc(p):
@@ -209,7 +230,9 @@ class DiffField:
     # -- generators, jets and the derivation -----------------------------
 
     def _extend(self, gens):
-        """Add generators; elements of the old field move over lazily."""
+        """Add generators.  The old ones stay the same objects, so an
+        element of the old field moves over lazily, by position (see
+        RatFunc.frac)."""
         syms = sorted(set(self._frac.symbols).union(gens), key=_gen_key)
         self._frac = FracField(syms, ZZ)
         self._index = {g: k for k, g in enumerate(syms)}
@@ -221,6 +244,13 @@ class DiffField:
             counts[var] = counts.get(var, 0) + int(cnt)
         return tuple(counts.get(v, 0) for v in self.vars)
 
+    def _jet_symbol(self, name, mu):
+        """The sympy atom of d^mu(name): the funcparam or a Derivative."""
+        sym = self.funcs[name]
+        if any(mu):
+            sym = sp.diff(sym, *[(v, k) for v, k in zip(self.vars, mu) if k])
+        return sym
+
     def _jet(self, name, mu):
         """The jet d^mu(name): a generator, or its value through the rules."""
         value = self._jets.get((name, mu))
@@ -228,17 +258,16 @@ class DiffField:
             return value
         base = next((b for (f, b) in self.rules if f == name
                      and all(m >= k for m, k in zip(mu, b))), None)
-        sym = self.funcs[name]
-        if any(mu):
-            sym = sp.diff(sym, *[(v, k) for v, k in zip(self.vars, mu) if k])
         if base is None:
+            sym = self._jet_symbol(name, mu)
             self._jet_of[sym] = (name, mu)
             if sym not in self._index:
                 self._extend([sym])
             value = RatFunc(self, self._frac.gens[self._index[sym]])
         elif base == mu:
             if self._depth >= MAX_REWRITE_DEPTH:
-                raise ResourceLimit(f"rewriting {self.coeff_str(sym)} through "
+                jet = self.coeff_str(self._jet_symbol(name, mu))
+                raise ResourceLimit(f"rewriting {jet} through "
                                     "the relations did not terminate")
             self._depth += 1
             try:
@@ -299,7 +328,12 @@ class DiffField:
                 raise DiffmodError(f"{atom} is not an element of {self!r}")
             mu = self._deriv_index(atom) if base is not atom else (0,) * self.n
             jets[atom] = self._jet(str(base.func), mu).expr
-        return self._frac.from_expr(expr.xreplace(jets))
+        f = self._frac.from_expr(expr.xreplace(jets))
+        if f.denom.LC < 0:
+            # from_expr inverts a negative power without cancel, so
+            # 1/(-x1 - x2) keeps the sign below; cancel would move it up
+            f = f.raw_new(-f.numer, -f.denom)
+        return f
 
     def coeff_str(self, expr):
         """Canonical text for a coefficient, funcparam derivatives as d1(a)."""
@@ -340,11 +374,15 @@ class RatFunc:
 
     @property
     def frac(self):
-        """The fraction, moved into the field's current generators."""
+        """The fraction, moved into the field's current generators.  The
+        old generators are the very objects the field indexes, so each
+        finds its new position by one dictionary lookup."""
         f, K = self._f, self.field._frac
         if f.field is not K:
-            f = self._f = K.dtype(f.numer.set_ring(K.ring),
-                                  f.denom.set_ring(K.ring))
+            index = self.field._index
+            to = [index[g] for g in f.field.symbols]
+            f = self._f = K.dtype(_move(f.numer, to, K.ring),
+                                  _move(f.denom, to, K.ring))
         return f
 
     @property
@@ -473,12 +511,16 @@ class RatFunc:
         K, numer = self.field._frac, self.frac.numer
         if numer.is_ground:
             return []
-        gens = sorted(_used(numer), key=_gen_key)
-        _, flist = numer.set_ring(PolyRing(gens, ZZ)).factor_list()
+        # the field's generators are sorted by _gen_key, so the used ones
+        # keep their relative order in the factoring ring
+        used = [k for k, d in enumerate(numer.degrees()) if d > 0]
+        ring = PolyRing([K.symbols[k] for k in used], ZZ)
+        _, flist = _move(numer, {k: j for j, k in enumerate(used)},
+                         ring).factor_list()
         flist.sort(key=lambda t: (len(t[0].to_dense()), t[1], t[0].to_dense()))
         factors = []
         for fac, _mult in flist:
-            rf = RatFunc(self.field, K.dtype(fac.set_ring(K.ring)))
+            rf = RatFunc(self.field, K.dtype(_move(fac, used, K.ring)))
             if not rf.free_of_parameters():
                 factors.append(rf.canonical_factor())
         return factors

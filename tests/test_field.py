@@ -8,10 +8,14 @@ from pathlib import Path
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.fields import FracField
+from sympy.polys.rings import PolyRing
 
 import diffmod
-from diffmod.field import (CaseSplitRequired, DiffField, DivisionByZero,
-                           RatFunc, Session, is_zero_under)
+from diffmod.field import (CaseSplitRequired, DiffField, DiffmodError,
+                           DivisionByZero, RatFunc, Session, _gen_key,
+                           _move, _used, is_zero_under)
 from diffmod.ops import OpMatrix, ScalarOp
 
 
@@ -290,3 +294,112 @@ def test_is_one_on_cancelled_values():
     assert not F.ratfunc(-1).is_one
     assert not x1.is_one
     assert not F.zero.is_one
+
+
+def test_a_negative_power_leaves_the_sign_in_the_numerator():
+    """sympy writes 1/(-x1 - x2) as a power -1 of -x1 - x2, which
+    FracField.from_expr inverts without cancel."""
+    f = F.ratfunc("1/(-x1 - x2)")
+    assert (str(f.frac.numer), str(f.frac.denom)) == ("-1", "x1 + x2")
+    assert f == F.ratfunc("-1/(x1 + x2)")
+    assert f * F.one == f and F.one * f == f
+
+
+# Jets met after the elements were built: d12(a) rewrites through the
+# rule and d112(a) is d1 of its value; k is a symbol the field does not
+# declare, so normalize makes it a constant generator.
+NEW_JETS = [("a", (1, 0)), ("a", (0, 1)), ("b", (1, 0)), ("b", (0, 2)),
+            ("b", (1, 1)), ("a", (1, 1)), ("a", (2, 1)), ("k", None)]
+
+
+def _two_funcparam_field():
+    G = DiffField(2, params=["c"], func_params=["a", "b"])
+    G.add_rule("a", (1, 1), "c*a*b + x1")
+    return G
+
+
+def _element_texts():
+    atoms = st.sampled_from(["x1", "x2", "c", "a", "b", "1", "2", "-1"])
+    poly = st.recursive(atoms, lambda ch: st.one_of(
+        st.tuples(ch, ch).map(lambda t: f"({t[0]}+{t[1]})"),
+        st.tuples(ch, ch).map(lambda t: f"({t[0]}*{t[1]})"),
+        ch.map(lambda s: f"(-{s})")), max_leaves=5)
+    return st.tuples(poly, poly, poly).map(
+        lambda t: f"({t[0]})*({t[1]})/({t[2]})")
+
+
+def _meet(G, name, mu):
+    if name == "k":
+        G.ratfunc("k*x1")
+        return
+    x1, x2 = G.vars
+    G.ratfunc(sp.diff(G.symbol(name), *[x1] * mu[0], *[x2] * mu[1]))
+
+
+def _factors_through_set_ring(f):
+    """nonzero_factors as sympy's set_ring computes it: factored over the
+    generators the numerator uses, sorted by _gen_key."""
+    K, numer = f.field._frac, f.frac.numer
+    if numer.is_ground:
+        return []
+    gens = sorted(_used(numer), key=_gen_key)
+    _, flist = numer.set_ring(PolyRing(gens, ZZ)).factor_list()
+    flist.sort(key=lambda t: (len(t[0].to_dense()), t[1], t[0].to_dense()))
+    rfs = [RatFunc(f.field, K.dtype(fac.set_ring(K.ring))) for fac, _ in flist]
+    return [rf.canonical_factor() for rf in rfs if not rf.free_of_parameters()]
+
+
+def _canonical(f):
+    try:
+        return f.field.coeff_str(f.canonical_factor())
+    except DiffmodError as exc:
+        return str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_element_texts(), min_size=1, max_size=3),
+       st.permutations(NEW_JETS), st.lists(st.booleans(), min_size=8,
+                                          max_size=8))
+def test_old_elements_move_to_new_generators_as_set_ring_moves_them(
+        texts, jets, reads):
+    """Elements built before the field gains jets and a symbol move by
+    generator position to what sympy's set_ring gives, one extension at a
+    time or several at once, and then behave as if built afterwards."""
+    G = _two_funcparam_field()
+    olds = []
+    for text in texts:
+        if G.ratfunc(text.rsplit("/", 1)[1]).is_zero:
+            text = text.rsplit("/", 1)[0]
+        olds.append((text, G.ratfunc(text)))
+    for (name, mu), read in zip(jets, reads):
+        _meet(G, name, mu)
+        for _, old in olds if read else ():
+            before = old._f
+            ring = G._frac.ring
+            moved = old.frac
+            assert moved.field is G._frac
+            assert moved.numer == before.numer.set_ring(ring)
+            assert moved.denom == before.denom.set_ring(ring)
+    for text, old in olds:
+        new = G.ratfunc(text)
+        assert old == new and hash(old) == hash(new)
+        assert old.expr == new.expr
+        assert G.coeff_str(old) == G.coeff_str(new)
+        for i in (1, 2):
+            assert old.derive(i) == new.derive(i)
+            assert G.coeff_str(old.derive(i)) == G.coeff_str(new.derive(i))
+        factors = [G.coeff_str(p) for p in old.nonzero_factors()]
+        assert factors == [G.coeff_str(p) for p in new.nonzero_factors()]
+        assert factors == [G.coeff_str(p)
+                           for p in _factors_through_set_ring(old)]
+        assert _canonical(old) == _canonical(new)
+
+
+def test_a_generator_the_field_does_not_know_is_not_dropped():
+    G = _two_funcparam_field()
+    stranger = FracField([sp.Symbol("zz"), *G._frac.symbols], ZZ)
+    f = RatFunc(G, stranger.gens[1] / stranger.gens[0])
+    with pytest.raises(KeyError):
+        f.frac
+    with pytest.raises(KeyError):
+        _move(stranger.ring.gens[0], {}, G._frac.ring)
