@@ -14,7 +14,8 @@ from dataclasses import dataclass, field as dc_field
 from .field import DiffmodError, Session
 from .janet import complete, count_parametric
 from .ops import DEFAULT_ORDER, OpMatrix, ScalarOp
-from .syzygy import compatibility_conditions, differential_rank
+from .syzygy import (InvalidArgument, compatibility_conditions,
+                     differential_rank)
 
 
 class NotParametrizable(DiffmodError):
@@ -199,11 +200,12 @@ def ext_module(sequence, i, order=None, session=None, case_context=None):
     field = ops[0].field
     session = session or Session(field)
     if i < 0:
-        raise ValueError("ext index must be >= 0")
+        raise InvalidArgument("ext index must be >= 0")
     terminated = getattr(sequence, "terminated", None)
     if i > len(ops):
         if terminated is False:
-            raise ValueError("resolution too short for the requested index")
+            raise InvalidArgument(
+                "resolution too short for the requested index")
         gens = OpMatrix.zero(field, 0, 0)
         return ExtReport(index=i, generators=gens, image=None, residues=[],
                          vanishing=True, torsion_generators=[],
@@ -218,7 +220,8 @@ def ext_module(sequence, i, order=None, session=None, case_context=None):
         # one step past a terminated resolution: the dual chain ends in 0,
         # the kernel is everything
         if terminated is False:
-            raise ValueError("resolution too short for the requested index")
+            raise InvalidArgument(
+                "resolution too short for the requested index")
         width = ops[-1].rows
         gens = OpMatrix.identity(field, width,
                                  col_labels=[f"m{k+1}" for k in range(width)])

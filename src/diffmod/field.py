@@ -9,13 +9,15 @@ d1(alpha) = alpha*gamma + c*alpha^2 replaces a jet by its right side.
 An element is one cancelled fraction of sparse integer polynomials in the
 generators (a sympy FracElement): coprime numerator and denominator, the
 denominator's leading coefficient positive, exactly as sympy's cancel
-leaves them.  That is the only representation of a value, so equality
-and the zero test are exact; `RatFunc.expr` is a sympy view for printing.
-Arithmetic on two rational constants runs on integers, through a
-Fraction that lives only inside that one operation, and a product with a
-rational constant needs only integer gcds; either result is stored as
-the same cancelled FracElement.  Pivot inversions go through a Session,
-which records the nonzero provisos a computation consumed.
+leaves them.  That is the canonical form of a value, so equality and
+the zero test are exact; `RatFunc.expr` is a sympy view for printing.
+A rational constant also carries its value as a reduced Fraction with a
+positive denominator, which is the same cancelled fraction.  A constant
+made from a Fraction holds only that until its FracElement is first
+read, and then builds it in the field's current generators.  Arithmetic
+on two rational constants runs on Fractions, and a product with a
+rational constant needs only integer gcds.  Pivot inversions go through
+a Session, which records the nonzero provisos a computation consumed.
 
 Meeting a new jet or symbol makes a new FracField over the grown,
 sorted generator set.  An element of an older one moves over when it is
@@ -184,11 +186,11 @@ class DiffField:
 
     @property
     def zero(self):
-        return RatFunc(self, self._frac.zero)
+        return self._constant(0)
 
     @property
     def one(self):
-        return RatFunc(self, self._frac.one)
+        return self._constant(1)
 
     def ratfunc(self, value):
         """Coerce an int/Fraction/str/sympy expression into the field."""
@@ -206,11 +208,9 @@ class DiffField:
         return RatFunc(self, value)
 
     def _constant(self, q):
-        """The element of an int or Fraction, built as cancel would build
-        it: the two are coprime and the denominator is positive."""
-        ring = self._frac.ring
-        return RatFunc(self, self._frac.dtype(ring.ground_new(q.numerator),
-                                              ring.ground_new(q.denominator)))
+        """The element of an int or Fraction; its polynomials are built
+        when RatFunc.frac is first read."""
+        return RatFunc(self, q if isinstance(q, Fraction) else Fraction(q))
 
     def add_rule(self, func_name, base_index, rhs):
         """Declare a directed rewrite d^base(func) -> rhs.
@@ -288,7 +288,7 @@ class DiffField:
         if not 1 <= i <= self.n:
             raise IndexError(f"derivation index {i} out of range 1..{self.n}")
         f = self.ratfunc(f)
-        if f.frac.numer.is_ground and f.frac.denom.is_ground:
+        if f._q is not None:
             return self.zero
         steps = {}
         for g in f.generators():
@@ -362,23 +362,38 @@ class DiffField:
 
 
 class RatFunc:
-    """Element of the field: one cancelled fraction of integer polynomials."""
+    """Element of the field: one cancelled fraction of integer polynomials.
 
-    __slots__ = ("field", "_f", "_expr")
+    _q is the value as a Fraction when the element is a rational constant
+    and None when it is not.  A constant made from a Fraction holds only
+    _q until its fraction is first read.
+    """
+
+    __slots__ = ("field", "_f", "_q", "_expr")
 
     def __init__(self, field, value):
         self.field = field
-        self._f = (value if isinstance(value, FracElement)
-                   else field.normalize(value))
+        if isinstance(value, Fraction):
+            self._f, self._q = None, value
+        else:
+            self._f = (value if isinstance(value, FracElement)
+                       else field.normalize(value))
+            self._q = _rational(self._f)
         self._expr = None
 
     @property
     def frac(self):
         """The fraction, moved into the field's current generators.  The
         old generators are the very objects the field indexes, so each
-        finds its new position by one dictionary lookup."""
+        finds its new position by one dictionary lookup.  A constant's is
+        built here, as cancel would build it: the reduced Fraction's two
+        integers, the denominator positive."""
         f, K = self._f, self.field._frac
-        if f.field is not K:
+        if f is None:
+            ring, q = K.ring, self._q
+            f = self._f = K.dtype(ring.ground_new(q.numerator),
+                                  ring.ground_new(q.denominator))
+        elif f.field is not K:
             index = self.field._index
             to = [index[g] for g in f.field.symbols]
             f = self._f = K.dtype(_move(f.numer, to, K.ring),
@@ -389,7 +404,8 @@ class RatFunc:
     def expr(self):
         """sympy view of the element, signed as sympy's cancel signs it."""
         if self._expr is None:
-            num, den = self._f.numer, self._f.denom
+            f = self.frac
+            num, den = f.numer, f.denom
             if len(den) > 1 and _cancel_lc(den) < 0:
                 num, den = -num, -den
             self._expr = num.as_expr() / den.as_expr()
@@ -399,14 +415,16 @@ class RatFunc:
 
     @property
     def is_zero(self):
-        return not self._f
+        return self._q == 0
 
     @property
     def is_one(self):
-        return _ground(self._f.numer) == 1 and _ground(self._f.denom) == 1
+        return self._q == 1
 
     def generators(self):
         """The generators (sympy symbols and jets) the element involves."""
+        if self._q is not None:
+            return set()
         return _used(self._f.numer) | _used(self._f.denom)
 
     def free_of_parameters(self):
@@ -424,7 +442,7 @@ class RatFunc:
         """self op other.  Rational constants skip sympy's polynomial gcd:
         two of them meet as Fractions, and a product with one needs only
         integer gcds (see _scaled)."""
-        a, b = _rational(self._f), _rational(other._f)
+        a, b = self._q, other._q
         if a is not None and b is not None:
             return self.field._constant(op(a, b))
         if op is operator.mul and a is not None:
@@ -458,6 +476,8 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
+        if self._q is not None:
+            return self.field._constant(-self._q)
         return RatFunc(self.field, -self._f)
 
     def __sub__(self, other):
@@ -545,6 +565,8 @@ class RatFunc:
             other = self._coerce(other)
         except (TypeError, ValueError, DiffmodError):
             return NotImplemented
+        if self._q is not None or other._q is not None:
+            return self._q == other._q
         return self.frac == other.frac
 
     def __hash__(self):

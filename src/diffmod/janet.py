@@ -84,11 +84,12 @@ class _Row:
         self._lead = None
         self.prolonged = set()
 
-    def lead(self, order):
+    def lead(self, key):
+        """The greatest (column, monomial) term under key, a rank of terms
+        such as a basis's _TermKeys lookup; found once and kept."""
         if self._lead is None:
             terms = [(j, mu) for j, e in enumerate(self.op) for mu in e.terms]
-            self._lead = max(terms, default=None, key=lambda t:
-                             order.module_key(t, len(self.op)))
+            self._lead = max(terms, default=None, key=key)
         return self._lead
 
     @property
@@ -99,16 +100,16 @@ class _Row:
     def src_is_zero(self):
         return self.src is None or all(e.is_zero for e in self.src)
 
-    def lead_coeff(self, order):
-        j, mu = self.lead(order)
+    def lead_coeff(self, key):
+        j, mu = self.lead(key)
         return self.op[j].terms[mu]
 
-    def lead_order(self, order):
-        return mono_order(self.lead(order)[1])
+    def lead_order(self, key):
+        return mono_order(self.lead(key)[1])
 
-    def monic(self, order, session):
+    def monic(self, key, session):
         """The row divided by its lead coefficient, checked as a pivot."""
-        c = self.lead_coeff(order)
+        c = self.lead_coeff(key)
         session.check_pivot(c)
         inv = c.inverse()
         src = None if self.src is None else [e.scale(inv) for e in self.src]
@@ -201,7 +202,7 @@ class InvolutiveBasis:
         self._rows = []                # list of _Row, monic, with mult vars
         self._mult = []                # parallel list of frozensets
         self._q = 0                    # highest order added
-        self._keys = _TermKeys(order, self.ncols)
+        self._key = _TermKeys(order, self.ncols).__getitem__
 
     # -- Janet structure -------------------------------------------------
 
@@ -209,7 +210,7 @@ class InvolutiveBasis:
         """Lead monomials of the rows, by column."""
         leads = {}
         for r in self._rows:
-            col, mu = r.lead(self.order)
+            col, mu = r.lead(self._key)
             leads.setdefault(col, []).append(mu)
         return leads
 
@@ -218,14 +219,14 @@ class InvolutiveBasis:
         mult = {col: dict(zip(mus, janet_multiplicative(mus, seq)))
                 for col, mus in self._leads().items()}
         self._mult = [mult[col][mu] for col, mu in
-                      (r.lead(self.order) for r in self._rows)]
+                      (r.lead(self._key) for r in self._rows)]
 
     @property
     def rows(self):
         seq = self.order.seq(self.field.n)
         out = []
         for r, mult in zip(self._rows, self._mult):
-            col, mu = r.lead(self.order)
+            col, mu = r.lead(self._key)
             cls = next((v for v in reversed(seq) if mu[v - 1]), 0)
             out.append(JanetRow(list(r.op), None if r.src is None else list(r.src),
                                 (col, mu), mult, cls))
@@ -236,7 +237,7 @@ class InvolutiveBasis:
 
     @property
     def max_order(self):
-        return max((r.lead_order(self.order) for r in self._rows), default=-1)
+        return max((r.lead_order(self._key) for r in self._rows), default=-1)
 
     def matrix(self):
         ent = [list(r.op) for r in self._rows]
@@ -255,7 +256,7 @@ class InvolutiveBasis:
     def _reducer(self, term):
         j, mu = term
         for r, mult in zip(self._rows, self._mult):
-            col, lam = r.lead(self.order)
+            col, lam = r.lead(self._key)
             if col != j or not mono_le(lam, mu):
                 continue
             kappa = mono_sub(mu, lam)
@@ -269,14 +270,14 @@ class InvolutiveBasis:
         With tail=True the row's own lead term is left alone and only the
         terms below it are reduced.
         """
-        skip = row.lead(self.order) if tail else None
+        skip = row.lead(self._key) if tail else None
         work = row
         while True:
             terms = [(j, mu) for j, e in enumerate(work.op) for mu in e.terms
                      if (j, mu) != skip]
             if not terms:
                 break
-            terms.sort(key=self._keys.__getitem__, reverse=True)
+            terms.sort(key=self._key, reverse=True)
             hit = None
             for t in terms:
                 found = self._reducer(t)
@@ -319,7 +320,7 @@ class InvolutiveBasis:
         """
         if self.track_src and A is not self.input:
             raise ValueError("a basis that tracks sources adds only its input")
-        field, order, trace = self.field, self.order, self.trace
+        field, key, trace = self.field, self._key, self.trace
         self._q = max(self._q, A.order)
         budget = _Budget(2 * self._q + 6)
         pending = []  # (row, expected order or None, origin)
@@ -339,7 +340,7 @@ class InvolutiveBasis:
                 if task is None:
                     break
                 pending.append(task)
-            pending.sort(key=lambda item: self._keys[item[0].lead(order)])
+            pending.sort(key=lambda item: key(item[0].lead(key)))
             row, expected, origin = pending.pop(0)
             h = self.reduce_row(row, budget)
             if h.op_is_zero:
@@ -349,8 +350,8 @@ class InvolutiveBasis:
                 else:
                     trace.steps.append({"event": "zero", "from": origin})
                 continue
-            lead_ord = h.lead_order(order)
-            h = h.monic(order, self.session)
+            lead_ord = h.lead_order(key)
+            h = h.monic(key, self.session)
             if expected is not None and lead_ord < expected:
                 trace.integrability_conditions.append(
                     OpMatrix.from_rows(field, [list(h.op)], self.ncols,
@@ -360,7 +361,7 @@ class InvolutiveBasis:
             for b in self._insert(h):
                 pending.append((b, None, "displaced"))
             trace.steps.append({"event": "add", "from": origin,
-                                "lead": h.lead(order), "order": lead_ord})
+                                "lead": h.lead(key), "order": lead_ord})
         self._keep_minimal()
 
     def _keep_minimal(self):
@@ -375,14 +376,14 @@ class InvolutiveBasis:
                   for mu in minimal_janet_leads(mus, seq)}
         if len(needed) < len(self._rows):
             self._rows = [r for r in self._rows
-                          if r.lead(self.order) in needed]
+                          if r.lead(self._key) in needed]
             self._assign_mult()
 
     def _insert(self, h):
         """Put h in the basis; return the rows whose lead h's lead divides."""
-        col, mu = h.lead(self.order)
-        displaced = [b for b in self._rows if b.lead(self.order)[0] == col
-                     and mono_le(mu, b.lead(self.order)[1])]
+        col, mu = h.lead(self._key)
+        displaced = [b for b in self._rows if b.lead(self._key)[0] == col
+                     and mono_le(mu, b.lead(self._key)[1])]
         self._rows = [b for b in self._rows if b not in displaced] + [h]
         self._assign_mult()
         return displaced
@@ -394,11 +395,11 @@ class InvolutiveBasis:
                 if i in mult or i in r.prolonged:
                     continue
                 r.prolonged.add(i)
-                budget.check_order(r.lead_order(self.order) + 1)
+                budget.check_order(r.lead_order(self._key) + 1)
                 di = ScalarOp.d(self.field, i)
                 prol = _Row([di * e for e in r.op],
                             None if r.src is None else [di * e for e in r.src])
-                return (prol, r.lead_order(self.order) + 1,
+                return (prol, r.lead_order(self._key) + 1,
                         f"d{i} prolongation")
         return None
 
@@ -413,7 +414,7 @@ class InvolutiveBasis:
         for idx, r in enumerate(list(self._rows)):
             work = self.reduce_row(r, budget, tail=True)
             if work is not r:
-                work._lead = r.lead(self.order)
+                work._lead = r.lead(self._key)
                 work.prolonged = r.prolonged
                 self._rows[idx] = work
 
@@ -460,7 +461,7 @@ def board_of_matrix(A, order=None, session=None):
     for i in range(A.rows):
         r = _Row(A.row(i), None)
         if not r.op_is_zero:
-            basis._rows.append(r.monic(order, session))
+            basis._rows.append(r.monic(basis._key, session))
     basis._assign_mult()
     return janet_board(basis)
 

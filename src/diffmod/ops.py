@@ -3,8 +3,8 @@
 Scalar operators store their coefficients to the LEFT of the derivative
 monomials; products commute the d_i past coefficients with the Leibniz
 rule d_i a = a d_i + da/dx_i.  Every coefficient is a field element, one
-cancelled fraction (see field.py), and no other form of it is stored: a
-Fraction appears only inside a single field operation.  Matrices over D
+cancelled fraction (see field.py); a rational constant is held as a
+reduced Fraction until its polynomials are needed.  Matrices over D
 represent operators between free modules, with the formal adjoint and
 composition used by every duality computation downstream.
 """

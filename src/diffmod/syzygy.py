@@ -10,9 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .field import ResourceLimit, Session
-from .janet import InvolutiveBasis, _Row, complete
+from .field import DiffmodError, ResourceLimit, Session
+from .janet import InvolutiveBasis, _Row, _TermKeys, complete
 from .ops import DEFAULT_ORDER, OpMatrix
+
+
+class InvalidArgument(DiffmodError, ValueError):
+    """A length or index argument out of its range."""
 
 
 def _minimalize(field, rows, ncols, order, session, labels):
@@ -23,10 +27,10 @@ def _minimalize(field, rows, ncols, order, session, labels):
     """
     mats = [OpMatrix.from_rows(field, [list(r)], ncols, col_labels=labels)
             for r in rows]
-    mats.sort(key=lambda m: (m.order, order.module_key(
-        _Row(m.row(0), None).lead(order), ncols)))
     kept = InvolutiveBasis(OpMatrix.zero(field, 0, ncols, col_labels=labels),
                            order, session)
+    key = kept._key
+    mats.sort(key=lambda m: (m.order, key(_Row(m.row(0), None).lead(key))))
     kept_rows = []
     for m in mats:
         if kept.contains(m.row(0)):
@@ -74,7 +78,8 @@ def _cc_and_completion(A, order, session):
                          track_src=False)
     candidates = [list(r.op) for r in syz_basis._rows]
     kept = _minimalize(field, candidates, A.rows, order, session, A.row_labels)
-    kept = [_Row(r, None).monic(order, session).op for r in kept]
+    key = _TermKeys(order, A.rows).__getitem__
+    kept = [_Row(r, None).monic(key, session).op for r in kept]
     labels = [f"z{i+1}" for i in range(len(kept))]
     return OpMatrix.from_rows(field, kept, A.rows, row_labels=labels,
                               col_labels=A.row_labels), basis
@@ -127,7 +132,8 @@ def classify_operator(A, basis, order=None):
     order = order or DEFAULT_ORDER
     formally_integrable = not basis.trace.integrability_conditions
     added = {r.lead for r in basis.rows}
-    input_leads = {_Row(A.row(i), None).lead(order) for i in range(A.rows)}
+    key = _TermKeys(order, A.cols).__getitem__
+    input_leads = {_Row(A.row(i), None).lead(key) for i in range(A.rows)}
     involutive = added <= input_leads
     return formally_integrable, involutive
 
@@ -143,7 +149,7 @@ def build_sequence(A, max_steps=None, order=None, session=None):
     session = session or Session(field)
     cap = max_steps if max_steps is not None else field.n + 1
     if cap < 1:
-        raise ValueError("max_steps must be >= 1")
+        raise InvalidArgument("max_steps must be >= 1")
     ops = [A]
     per_op = []
     certificates = []

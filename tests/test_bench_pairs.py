@@ -1,0 +1,48 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def _run(wall, rate, attempted=10, failed=0, sha="abc", lines=100):
+    return {"attempted": attempted, "failed": failed,
+            "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                        "rate": {"value": rate, "unit": "1/s"}},
+            "meta": {"git_sha": sha, "src_diffmod_lines": lines}}
+
+
+BETTER = {"wall_s": "lower", "rate": "higher"}
+
+
+def test_summary_counts_wins_in_each_direction_and_ties_for_neither():
+    parent = [_run(2.0, 5.0), _run(3.0, 5.0), _run(4.0, 5.0), _run(1.0, 5.0)]
+    change = [_run(1.0, 6.0), _run(3.0, 4.0), _run(2.0, 5.0), _run(1.5, 7.0)]
+    entry = bench_pairs.summarize(parent, change, BETTER)
+    assert entry["pairs"] == 4
+    assert entry["change_wins"] == {"wall_s": 2, "rate": 2}
+
+
+def test_summary_medians_quartiles_and_ratios():
+    parent = [_run(v, 1.0, sha="p", lines=90) for v in (4.0, 1.0, 3.0, 2.0, 5.0)]
+    change = [_run(v, 1.0, attempted=20, failed=1) for v in (1.0,) * 5]
+    entry = bench_pairs.summarize(parent, change, BETTER)
+    wall = entry["parent"]["wall_s"]
+    assert wall["runs"] == [4.0, 1.0, 3.0, 2.0, 5.0]
+    assert (wall["q1"], wall["median"], wall["q3"]) == (2.0, 3.0, 4.0)
+    assert entry["median_ratio_change_over_parent"]["wall_s"] == round(1 / 3, 4)
+    assert entry["parent"]["git_sha"] == "p"
+    assert entry["parent"]["src_diffmod_lines"] == 90
+    assert entry["change"]["executions"] == [20] * 5
+    assert entry["change"]["fail_share"] == [0.05] * 5
+
+
+def test_summary_of_one_pair_and_unequal_sides():
+    entry = bench_pairs.summarize([_run(2.0, 1.0)], [_run(1.0, 1.0)], BETTER)
+    assert entry["parent"]["wall_s"]["q1"] == entry["parent"]["wall_s"]["q3"] == 2.0
+    with pytest.raises(ValueError):
+        bench_pairs.summarize([_run(1.0, 1.0)], [], BETTER)

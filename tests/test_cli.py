@@ -168,6 +168,20 @@ def test_bad_assume_and_order_are_errors_not_tracebacks(capsys, extra):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, options", [
+    ("sequence", ["--max-steps", "0"]),
+    ("sequence", ["--max-steps", "-1"]),
+    ("ext", ["--i", "-1"]),
+])
+def test_bad_step_count_and_ext_index_are_errors_not_tracebacks(
+        capsys, command, options):
+    argv = [command, corpus_path("unexpected_cc_pair"), *options]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 ENVELOPE_PAYLOADS = {
     "sequence": {"shape": [1, 2, 1], "orders": [2, 2]},
     "duality": {"torsion_free": True},

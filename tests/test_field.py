@@ -286,6 +286,60 @@ def test_constant_and_nonconstant_operands_match_sympy(p, e1, e2, m):
             _assert_as_sympy_gives_it(op(x, y), op(x.frac, y.frac))
 
 
+# A chain of steps on a rational constant: + - * / by a drawn constant,
+# or negation.
+CHAINS = st.lists(st.one_of(st.tuples(st.sampled_from(ARITH), CONSTANTS),
+                            st.just((operator.neg, None))), max_size=6)
+
+
+def _assert_lazy_constant_is_the_eager_one(got, want):
+    """got, a constant held as a Fraction until its fraction is read,
+    behaves as RatFunc(F, want), want the FracElement of sympy's
+    arithmetic."""
+    ref = RatFunc(F, want)
+    assert (got.is_zero, got.is_one) == (ref.is_zero, ref.is_one)
+    assert got.generators() == ref.generators() == set()
+    assert got == ref and ref == got
+    assert hash(got) == hash(ref)
+    assert got.expr == ref.expr and F.coeff_str(got) == F.coeff_str(ref)
+    assert (got.frac.numer, got.frac.denom) == (want.numer, want.denom)
+    for i in (1, 2):
+        assert got.derive(i) == ref.derive(i) == F.zero
+    assert got.nonzero_factors() == ref.nonzero_factors() == []
+    assert got.canonical_factor() == ref.canonical_factor()
+    assert F.coeff_str(got.canonical_factor()) == F.coeff_str(
+        ref.canonical_factor())
+
+
+@settings(max_examples=150, deadline=None)
+@given(CONSTANTS, CHAINS)
+def test_lazy_constants_match_sympys_fractions(p, chain):
+    K = F._frac
+    got, want = F.ratfunc(Fraction(*p)), K(p[0]) / K(p[1])
+    _assert_lazy_constant_is_the_eager_one(got, want)
+    for op, q in chain:
+        if op is operator.neg:
+            got, want = -got, -want
+        elif op is operator.truediv and q[0] == 0:
+            continue
+        else:
+            got, want = op(got, _constant(q)), op(want, K(q[0]) / K(q[1]))
+        _assert_lazy_constant_is_the_eager_one(got, want)
+
+
+def test_a_lazy_constant_is_built_in_the_ring_of_a_later_jet():
+    G = DiffField(2, func_params=["a"])
+    c = G.ratfunc(3) / G.ratfunc(-6)
+    before = G._frac
+    d1a = G.ratfunc("a").derive(1)      # meets the jet d1(a)
+    K = G._frac
+    assert K is not before
+    assert c.frac.field is K
+    assert (c.frac.numer, c.frac.denom) == (K.ring(-1), K.ring(2))
+    assert (c * d1a).frac == K(-1) / K(2) * d1a.frac
+    assert c == G.ratfunc("-1/2") and hash(c) == hash(G.ratfunc("-1/2"))
+
+
 def test_is_one_on_cancelled_values():
     x1 = F.ratfunc("x1")
     assert (x1 / x1).is_one
