@@ -2,7 +2,7 @@
 
     python3 scripts/cli_sweep.py OUTDIR
 
-Runs `python -m diffmod.cli` from the root of this checkout for the 10
+Runs `python -m diffmod.cli` from the root of this checkout for the 13
 commands below on each `.dms` file of `src/diffmod/corpus`, one process
 at a time under PYTHONHASHSEED=0.  Each run leaves three files in
 OUTDIR/<case>/: `<command>.stdout` (standard output without its
@@ -36,8 +36,11 @@ COMMANDS = {
     "rank": ["rank"],
     "duality": ["duality"],
     "torsion": ["torsion"],
+    "ext-i0": ["ext", "--i", "0"],
     "ext-i1": ["ext", "--i", "1"],
     "ext-i2": ["ext", "--i", "2"],
+    "ext-i3": ["ext", "--i", "3"],
+    "ext-i1-split": ["ext", "--i", "1", "--split"],
     "parametrize": ["parametrize"],
 }
 EXIT_CODES = (0, 1, 2)

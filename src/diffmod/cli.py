@@ -205,15 +205,12 @@ def ext_payload(problem, args):
     seq = build_sequence(problem.matrix, order=problem.order,
                          session=problem.session)
     report = ext_module(seq, args.i, order=problem.order,
-                        session=problem.session, case_context=problem.case)
-    surviving = [k for k, r in enumerate(report.residues)
-                 if not all(e.is_zero for e in r)]
+                        session=problem.session)
     return {
         "index": args.i,
         "vanishing": report.vanishing,
         "generators": _matrix_payload(report.generators),
-        "surviving_generators": [report.generators.row_string(k)
-                                 for k in surviving],
+        "surviving_generators": [m.row_string(0) for m in report.surviving],
         "image": (_matrix_payload(report.image)
                   if report.image is not None else None),
         "torsion_generators": [{

@@ -169,12 +169,10 @@ def run_case(name, directory=None):
             elif op == "ext":
                 seq = build_sequence(matrix, order=order, session=session)
                 report = ext_module(seq, check["i"], order=order,
-                                    session=session, case_context=case)
+                                    session=session)
                 need("vanishing", report.vanishing)
                 need("generator_rows", report.generators.rows)
-                surviving = [k for k, r in enumerate(report.residues)
-                             if not all(e.is_zero for e in r)]
-                need("surviving", len(surviving))
+                need("surviving", len(report.surviving))
                 if "generated_by" in expect:
                     labels = report.generators.col_labels
                     width = report.generators.cols
@@ -183,7 +181,7 @@ def run_case(name, directory=None):
                     image_rows = ([report.image.row(i)
                                    for i in range(report.image.rows)]
                                   if report.image is not None else [])
-                    ours = [report.generators.row(k) for k in surviving]
+                    ours = [m.row(0) for m in report.surviving]
                     b_img = (_row_module_basis(field, image_rows, width,
                                                session.copy(), labels)
                              if image_rows else None)

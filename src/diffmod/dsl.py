@@ -467,7 +467,11 @@ def elaborate(decl):
             raise UnknownIdentifier(f"order names {decl.var_seq}, not all "
                                     f"among the variables {decl.vars}")
         var_seq = tuple(decl.vars.index(v) + 1 for v in decl.var_seq)
-    order = TermOrder(kind=decl.order_kind or "degrevlex", var_seq=var_seq)
+    kind = decl.order_kind or "degrevlex"
+    if kind not in ("degrevlex", "deglex", "lex"):
+        raise ElaborationError(f"unknown term order {kind!r}: the orders "
+                               "are degrevlex, deglex and lex")
+    order = TermOrder(kind=kind, var_seq=var_seq)
     meta = {
         "assumptions": assumptions,
         "splits": list(decl.splits),
@@ -631,34 +635,6 @@ def render_system(matrix, decl_name="", assumptions=(), splits=()):
     if splits:
         lines.append("split " + ", ".join(splits) + ";")
     for i in range(matrix.rows):
-        body = _row_text(matrix, i)
-        lines.append(f"E{i+1}: {body} = {matrix.row_labels[i]};")
+        lines.append(f"E{i+1}: {matrix.row_string(i)} = "
+                     f"{matrix.row_labels[i]};")
     return "\n".join(lines) + "\n"
-
-
-def _row_text(matrix, i):
-    field = matrix.field
-    bits = []
-    for j in range(matrix.cols):
-        entry = matrix.entries[i][j]
-        for mu in sorted(entry.terms, key=lambda m: sum(m)):
-            c = entry.terms[mu]
-            d = mono_str(mu)
-            head = (f"{d}({matrix.col_labels[j]})" if d
-                    else matrix.col_labels[j])
-            text = field.coeff_str(c)
-            if text == "1":
-                term = head
-            elif text == "-1":
-                term = f"-{head}"
-            else:
-                if any(ch in text for ch in "+- "):
-                    text = f"({text})"
-                term = f"{text}*{head}"
-            bits.append(term)
-    if not bits:
-        return "0 * " + matrix.col_labels[0] if matrix.cols else "0"
-    out = bits[0]
-    for b in bits[1:]:
-        out += f" - {b[1:]}" if b.startswith("-") else f" + {b}"
-    return out

@@ -5,11 +5,18 @@ M = D^(1xm) / (rows of A).  Duality is taken with the formal adjoint so
 that both sides stay left modules; the five-step test compares the
 bidualized compatibility conditions with the original presentation, and
 the rows that fail to reduce generate the torsion submodule.
+
+The five-step test on D1 is the i = 1 step of ext on the chain
+[ad D1, CC(ad D1)]: its generators are CC(D) and its image is D1, so both
+find the generators outside the image with the same `_outside`.  Every
+torsion certificate, from `torsion_submodule`, `ext_module` or a refused
+`parametrize`, is built by `_certificates` and replayed before it is
+returned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .field import DiffmodError, Session
 from .janet import complete, count_parametric
@@ -56,7 +63,6 @@ class DualityResult:
     adjoint_cc: OpMatrix              # CC(ad D1) = ad(D)
     d1_prime: OpMatrix                # CC(D)
     extra_cc: list                    # rows of d1_prime not in the row module of D1
-    provisos: list
 
 
 @dataclass
@@ -64,11 +70,12 @@ class ExtReport:
     index: int
     generators: OpMatrix
     image: OpMatrix | None
-    residues: list
-    vanishing: bool
+    surviving: list                   # rows of generators not in the image
     torsion_generators: list
-    provisos: list
-    case_context: dict = dc_field(default_factory=dict)
+
+    @property
+    def vanishing(self):
+        return not self.surviving
 
 
 @dataclass
@@ -111,24 +118,18 @@ def double_duality_test(D1, order=None, session=None):
     reduce generate t(M); their absence certifies torsion-freeness.
     """
     order = order or DEFAULT_ORDER
-    field = D1.field
-    session = session or Session(field)
+    session = session or Session(D1.field)
     ad1 = D1.adjoint()
     ad_d = compatibility_conditions(ad1, order=order, session=session)
     D = ad_d.adjoint()
     d1_prime = compatibility_conditions(D, order=order, session=session)
-    residues = _reduce_rows_mod(d1_prime, D1, order, session)
-    extra = [OpMatrix.from_rows(field, [d1_prime.row(i)], D1.cols,
-                                col_labels=D1.col_labels)
-             for i, rest in enumerate(residues)
-             if not all(e.is_zero for e in rest)]
+    extra = _outside(d1_prime, D1, order, session)
     return DualityResult(
         torsion_free=not extra,
         parametrizing=D,
         adjoint_cc=ad_d,
         d1_prime=d1_prime,
         extra_cc=extra,
-        provisos=list(session.provisos),
     )
 
 
@@ -162,13 +163,30 @@ def torsion_submodule(presentation, order=None, session=None):
     order = order or DEFAULT_ORDER
     session = session or Session(presentation.field)
     result = double_duality_test(presentation, order=order, session=session)
+    return _certificates(result.extra_cc, presentation, order, session)
+
+
+def _outside(gens, image, order, session):
+    """The rows of gens, as 1-row matrices, that do not reduce modulo the
+    rows of image; an image that is None, empty or zero reduces nothing."""
+    rows = [OpMatrix.from_rows(gens.field, [gens.row(k)], gens.cols,
+                               col_labels=gens.col_labels)
+            for k in range(gens.rows)]
+    if image is None or image.rows == 0 or image.is_zero:
+        return [r for r in rows if not r.is_zero]
+    basis = complete(image, order=order, session=session, track_src=False)
+    return [r for r in rows if not basis.contains(r.row(0))]
+
+
+def _certificates(rows, presentation, order, session):
+    """A replayed TorsionCertificate for each 1-row matrix in rows."""
     certs = []
-    for row in result.extra_cc:
+    for row in rows:
         found = annihilator_of(row, presentation, order=order,
                                session=session)
         if found is None:
             raise DiffmodError(
-                f"no annihilator found for extra CC row {row.row_string(0)}")
+                f"no annihilator found for row {row.row_string(0)}")
         P, witness = found
         cert = TorsionCertificate(element=row, annihilator=P, witness=witness,
                                   presentation=presentation)
@@ -178,16 +196,7 @@ def torsion_submodule(presentation, order=None, session=None):
     return certs
 
 
-def _reduce_rows_mod(rows_matrix, image, order, session):
-    """Normal forms of each row of rows_matrix modulo the rows of image."""
-    if image is None or image.rows == 0 or image.is_zero:
-        return [rows_matrix.row(i) for i in range(rows_matrix.rows)]
-    basis = complete(image, order=order, session=session, track_src=False)
-    return [basis.normal_form(rows_matrix.row(i))
-            for i in range(rows_matrix.rows)]
-
-
-def ext_module(sequence, i, order=None, session=None, case_context=None):
+def ext_module(sequence, i, order=None, session=None):
     """ext^i of the module presented by sequence.ops[0].
 
     Computed as the cohomology of the adjoint chain: generators are the
@@ -196,62 +205,33 @@ def ext_module(sequence, i, order=None, session=None, case_context=None):
     for the generators that survive reduction.
     """
     order = order or DEFAULT_ORDER
-    ops = sequence.ops if hasattr(sequence, "ops") else list(sequence)
+    ops = sequence.ops
     field = ops[0].field
     session = session or Session(field)
     if i < 0:
         raise InvalidArgument("ext index must be >= 0")
-    terminated = getattr(sequence, "terminated", None)
+    if i >= len(ops) and not sequence.terminated:
+        raise InvalidArgument("resolution too short for the requested index")
     if i > len(ops):
-        if terminated is False:
-            raise InvalidArgument(
-                "resolution too short for the requested index")
-        gens = OpMatrix.zero(field, 0, 0)
-        return ExtReport(index=i, generators=gens, image=None, residues=[],
-                         vanishing=True, torsion_generators=[],
-                         provisos=list(session.provisos),
-                         case_context=dict(case_context or {}))
+        return ExtReport(index=i, generators=OpMatrix.zero(field, 0, 0),
+                         image=None, surviving=[], torsion_generators=[])
     image = ops[i - 1].adjoint() if i >= 1 else None
     if i < len(ops):
         gens = compatibility_conditions(ops[i].adjoint(), order=order,
                                         session=session)
-        width = ops[i].rows
     else:
         # one step past a terminated resolution: the dual chain ends in 0,
         # the kernel is everything
-        if terminated is False:
-            raise InvalidArgument(
-                "resolution too short for the requested index")
         width = ops[-1].rows
         gens = OpMatrix.identity(field, width,
                                  col_labels=[f"m{k+1}" for k in range(width)])
     if gens.rows and image is not None and gens.cols != image.cols:
         raise DiffmodError("chain shapes do not match")
-    residues = _reduce_rows_mod(gens, image, order, session)
-    vanishing = all(all(e.is_zero for e in r) for r in residues)
-    torsion = []
-    if not vanishing and image is not None:
-        for k, r in enumerate(residues):
-            if all(e.is_zero for e in r):
-                continue
-            row = OpMatrix.from_rows(field, [gens.row(k)], gens.cols,
-                                     col_labels=gens.col_labels)
-            found = annihilator_of(row, image, order=order, session=session)
-            if found is not None:
-                P, witness = found
-                torsion.append(TorsionCertificate(
-                    element=row, annihilator=P, witness=witness,
-                    presentation=image))
-    return ExtReport(
-        index=i,
-        generators=gens,
-        image=image,
-        residues=residues,
-        vanishing=vanishing,
-        torsion_generators=torsion,
-        provisos=list(session.provisos),
-        case_context=dict(case_context or {}),
-    )
+    surviving = _outside(gens, image, order, session)
+    torsion = ([] if image is None else
+               _certificates(surviving, image, order, session))
+    return ExtReport(index=i, generators=gens, image=image,
+                     surviving=surviving, torsion_generators=torsion)
 
 
 def parametrize(D1, order=None, session=None):
@@ -264,12 +244,11 @@ def parametrize(D1, order=None, session=None):
     every row of CC(D) reduces to zero modulo D1.
     """
     order = order or DEFAULT_ORDER
-    field = D1.field
-    session = session or Session(field)
+    session = session or Session(D1.field)
     result = double_duality_test(D1, order=order, session=session)
     if not result.torsion_free:
-        certs = torsion_submodule(D1, order=order, session=session)
-        raise NotParametrizable(certs)
+        raise NotParametrizable(
+            _certificates(result.extra_cc, D1, order, session))
     D = result.parametrizing
     certified = D1.compose(D).is_zero
     if D1.rows and not D1.is_zero and result.d1_prime.rows:

@@ -132,7 +132,6 @@ class CompletionTrace:
     steps: list = dc_field(default_factory=list)
     integrability_conditions: list = dc_field(default_factory=list)
     cc_rows: list = dc_field(default_factory=list)
-    provisos: list = dc_field(default_factory=list)
 
 
 @dataclass(eq=False)
@@ -198,7 +197,7 @@ class InvolutiveBasis:
         self.session = session
         self.input = input_matrix
         self.track_src = track_src
-        self.trace = CompletionTrace(provisos=session.provisos)
+        self.trace = CompletionTrace()
         self._rows = []                # list of _Row, monic, with mult vars
         self._mult = []                # parallel list of frozensets
         self._q = 0                    # highest order added

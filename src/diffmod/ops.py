@@ -422,9 +422,6 @@ class OpMatrix:
         return OpMatrix(self.field, ent, row_labels=self.row_labels,
                         col_labels=other.col_labels)
 
-    def __matmul__(self, other):
-        return self.compose(other)
-
     def adjoint(self):
         """Formal adjoint matrix: (ad A)[k][tau] = ad(A[tau][k])."""
         ent = [[self.entries[i][j].adjoint() for i in range(self.rows)]
@@ -444,21 +441,6 @@ class OpMatrix:
                 acc = acc + self.entries[i][j].apply(sec[j])
             out.append(acc)
         return out
-
-    def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch("add shape mismatch")
-        ent = [[self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-               for i in range(self.rows)]
-        return OpMatrix(self.field, ent, row_labels=self.row_labels,
-                        col_labels=self.col_labels)
-
-    def __neg__(self):
-        return OpMatrix(self.field, [[-e for e in row] for row in self.entries],
-                        row_labels=self.row_labels, col_labels=self.col_labels)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def specialize(self, values):
         """Substitute parameter values (case split) into every entry."""

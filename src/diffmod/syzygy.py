@@ -78,8 +78,6 @@ def _cc_and_completion(A, order, session):
                          track_src=False)
     candidates = [list(r.op) for r in syz_basis._rows]
     kept = _minimalize(field, candidates, A.rows, order, session, A.row_labels)
-    key = _TermKeys(order, A.rows).__getitem__
-    kept = [_Row(r, None).monic(key, session).op for r in kept]
     labels = [f"z{i+1}" for i in range(len(kept))]
     return OpMatrix.from_rows(field, kept, A.rows, row_labels=labels,
                               col_labels=A.row_labels), basis

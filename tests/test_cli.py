@@ -182,6 +182,16 @@ def test_bad_step_count_and_ext_index_are_errors_not_tracebacks(
     assert "Traceback" not in err
 
 
+def test_unknown_term_order_is_an_error_not_a_traceback(capsys, tmp_path):
+    src = tmp_path / "grevlex.dms"
+    src.write_text((corpus_dir() / "mixed_wave_pair.dms").read_text()
+                   + "order grevlex;\n")
+    assert cli.main(["complete", str(src)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "grevlex" in err
+    assert "Traceback" not in err
+
+
 ENVELOPE_PAYLOADS = {
     "sequence": {"shape": [1, 2, 1], "orders": [2, 2]},
     "duality": {"torsion_free": True},

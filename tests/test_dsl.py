@@ -1,11 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diffmod.corpus import corpus_dir
 from diffmod.dsl import (ElaborationError, ParseError, UnknownIdentifier,
                          elaborate, load_problem, parse_row, parse_system,
                          render_system)
 from diffmod.field import DiffmodError, RatFunc
-from diffmod.ops import OpMatrix
+from diffmod.janet import complete, count_parametric
+from diffmod.ops import OpMatrix, TermOrder
 from conftest import CORPUS_NAMES, load_corpus_system
 
 
@@ -71,13 +73,39 @@ def test_error_spans_inside_input():
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_round_trip_over_corpus(name):
     field, matrix, meta = load_corpus_system(name)
-    text = render_system(matrix, assumptions=meta["assumptions"],
-                         splits=meta["splits"])
-    field2, matrix2, meta2 = elaborate(parse_system(text))
-    assert matrix2.rows == matrix.rows and matrix2.cols == matrix.cols
-    assert matrix2 == OpMatrix(field2,
-                               [[_transplant(field2, e) for e in row]
-                                for row in matrix.entries])
+    for A in (matrix, matrix.adjoint()):
+        text = render_system(A, assumptions=meta["assumptions"],
+                             splits=meta["splits"])
+        field2, matrix2, meta2 = elaborate(parse_system(text))
+        assert matrix2.rows == A.rows and matrix2.cols == A.cols
+        assert matrix2.col_labels == A.col_labels
+        assert matrix2 == OpMatrix(field2,
+                                   [[_transplant(field2, e) for e in row]
+                                    for row in A.entries])
+
+
+@pytest.mark.parametrize("statement, order", [
+    ("", TermOrder()),
+    ("order deglex vars(x3, x2, x1);", TermOrder("deglex", (3, 2, 1))),
+    ("order lex;", TermOrder("lex")),
+])
+def test_order_statement_completes_mixed_wave_pair(statement, order):
+    """Every term order kind the grammar names elaborates and completes
+    the finite-type pair involutively, with the same parametric counts."""
+    source = (corpus_dir() / "mixed_wave_pair.dms").read_text() + statement
+    field, matrix, meta = elaborate(parse_system(source))
+    assert meta["order"] == order
+    basis = complete(matrix, order=order)
+    assert basis.verify_involutive()
+    count = count_parametric(basis)
+    assert (len(basis), count.finite_type, count.dim) == (7, True, 12)
+    assert count.hilbert == count_parametric(complete(matrix)).hilbert
+
+
+def test_unknown_order_kind_rejected():
+    with pytest.raises(ElaborationError, match="degrevlex, deglex and lex"):
+        elaborate(parse_system("vars x1; unknowns y; order grevlex; "
+                               "P: d1(y) = u;"))
 
 
 def _transplant(field, op):

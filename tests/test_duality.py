@@ -1,10 +1,11 @@
 import pytest
 import sympy as sp
 
+from diffmod import duality
 from diffmod.duality import (NotParametrizable, double_duality_test,
                              ext_module, kernel_analysis, parametrize,
                              torsion_submodule)
-from diffmod.field import DiffField, Session
+from diffmod.field import DiffField, DiffmodError, Session
 from diffmod.janet import complete
 from diffmod.ops import OpMatrix, ScalarOp
 from diffmod.syzygy import DiffSequence, build_sequence, compatibility_conditions
@@ -188,6 +189,43 @@ def test_parametrization_refused_with_certificates():
     with pytest.raises(NotParametrizable) as err:
         parametrize(matrix)
     assert err.value.certificates
+
+
+def _cert_text(cert):
+    return (cert.element.row_string(0), cert.annihilator.to_string(""),
+            cert.witness.row_string(0))
+
+
+def test_parametrize_refusal_runs_the_five_step_test_once(monkeypatch):
+    field, matrix, meta = load_corpus_system("od_lie_pair")
+    sess = corpus_session(field, matrix, meta)
+    calls = []
+    real = duality.double_duality_test
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(duality, "double_duality_test", counted)
+    with pytest.raises(NotParametrizable) as err:
+        parametrize(matrix, session=sess.copy())
+    assert len(calls) == 1
+    refused = err.value.certificates
+    certs = torsion_submodule(matrix, session=sess.copy())
+    assert refused and all(c.verify() for c in refused)
+    assert [_cert_text(c) for c in refused] == [_cert_text(c) for c in certs]
+
+
+def test_torsion_row_without_annihilator_is_an_error(monkeypatch):
+    """torsion and ext^1 both refuse to drop a surviving row silently."""
+    field, matrix, meta = load_corpus_system("od_lie_pair")
+    sess = corpus_session(field, matrix, meta)
+    seq = build_sequence(matrix, session=sess.copy())
+    monkeypatch.setattr(duality, "annihilator_of", lambda *a, **kw: None)
+    with pytest.raises(DiffmodError, match="no annihilator"):
+        torsion_submodule(matrix, session=sess.copy())
+    with pytest.raises(DiffmodError, match="no annihilator"):
+        ext_module(seq, 1, session=sess.copy())
 
 
 def test_parametrize_zero_presentation():

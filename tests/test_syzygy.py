@@ -5,7 +5,7 @@ from diffmod import syzygy
 from diffmod.dsl import elaborate, parse_system
 from diffmod.field import DiffField
 from diffmod.janet import complete
-from diffmod.ops import OpMatrix, ScalarOp
+from diffmod.ops import DEFAULT_ORDER, OpMatrix, ScalarOp
 from diffmod.spencer import classical_dims
 from diffmod.syzygy import (build_sequence, compatibility_conditions,
                             differential_rank)
@@ -153,6 +153,20 @@ def test_rank_equals_adjoint_rank_across_corpus(name):
     r = differential_rank(matrix, session=sess.copy())
     r_ad = differential_rank(matrix.adjoint(), session=sess.copy())
     assert r == r_ad
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_cc_rows_are_monic_across_corpus(name):
+    """compatibility_conditions returns rows of a tail-reduced basis
+    without dividing them again: each lead coefficient is already 1."""
+    field, matrix, meta = load_corpus_system(name)
+    sess = corpus_session(field, matrix, meta,
+                          extra=["c"] if "c" in field.param_names else [])
+    cc = compatibility_conditions(matrix, session=sess)
+    for i in range(cc.rows):
+        terms = [(j, mu) for j, e in enumerate(cc.row(i)) for mu in e.terms]
+        j, mu = max(terms, key=lambda t: DEFAULT_ORDER.module_key(t, cc.cols))
+        assert cc.entries[i][j].terms[mu].is_one, cc.row_string(i)
 
 
 def test_alternating_rank_bookkeeping():
