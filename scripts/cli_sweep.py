@@ -1,14 +1,17 @@
-"""Run every file subcommand of the CLI on every corpus system.
+"""Run every file subcommand of the CLI on every corpus system, and
+`diffmod spencer` on its tables.
 
     python3 scripts/cli_sweep.py OUTDIR
 
 Runs `python -m diffmod.cli` from the root of this checkout for the 13
-commands below on each `.dms` file of `src/diffmod/corpus`, one process
+commands below on each `.dms` file of `src/diffmod/corpus`, and for the
+16 `spencer` invocations of SPENCER (the Killing, conformal and contact
+tables, the n = 5 diagram and three inputs it must refuse), one process
 at a time under PYTHONHASHSEED=0.  Each run leaves three files in
-OUTDIR/<case>/: `<command>.stdout` (standard output without its
-`elapsed_ms` line), `<command>.stderr` and `<command>.exit` (the exit
-status).  Nothing else in them depends on the clock or on where the
-checkout lives, so
+OUTDIR/<case>/, where the case is the corpus file's stem or `spencer`:
+`<command>.stdout` (standard output without its `elapsed_ms` line),
+`<command>.stderr` and `<command>.exit` (the exit status).  Nothing else
+in them depends on the clock or on where the checkout lives, so
 
     diff -r PARENT_OUTDIR CHANGE_OUTDIR
 
@@ -43,6 +46,18 @@ COMMANDS = {
     "ext-i1-split": ["ext", "--i", "1", "--split"],
     "parametrize": ["parametrize"],
 }
+SPENCER = {
+    **{f"killing-n{n}": ["--family", "killing", "--n", str(n)]
+       for n in range(2, 8)},
+    **{f"conformal-n{n}": ["--family", "conformal", "--n", str(n)]
+       for n in range(3, 7)},
+    **{f"contact-n{n}": ["--family", "contact", "--n", str(n)]
+       for n in (3, 5)},
+    "diagram": ["--diagram"],
+    "killing-n1": ["--family", "killing", "--n", "1"],
+    "contact-n4": ["--family", "contact", "--n", "4"],
+    "killing-no-n": ["--family", "killing"],
+}
 EXIT_CODES = (0, 1, 2)
 
 
@@ -53,30 +68,33 @@ def main(argv):
     out = Path(argv[0]).resolve()
     env = dict(os.environ, PYTHONHASHSEED="0",
                PYTHONPATH=str(ROOT / "src"))
+    jobs = [(dms.stem, name, [*args, str(CORPUS / dms.name)])
+            for dms in sorted((ROOT / CORPUS).glob("*.dms"))
+            for name, args in COMMANDS.items()]
+    jobs += [("spencer", name, ["spencer", *args])
+             for name, args in SPENCER.items()]
     runs, bad = 0, []
     t_all = time.perf_counter()
-    for dms in sorted((ROOT / CORPUS).glob("*.dms")):
-        case = out / dms.stem
+    for stem, name, args in jobs:
+        case = out / stem
         case.mkdir(parents=True, exist_ok=True)
-        for name, args in COMMANDS.items():
-            t0 = time.perf_counter()
-            run = subprocess.run(
-                [sys.executable, "-m", "diffmod.cli", *args,
-                 str(CORPUS / dms.name)],
-                cwd=ROOT, env=env, capture_output=True, text=True)
-            seconds = time.perf_counter() - t0
-            runs += 1
-            stdout = "".join(line for line in run.stdout.splitlines(True)
-                             if not line.lstrip().startswith('"elapsed_ms":'))
-            (case / f"{name}.stdout").write_text(stdout)
-            (case / f"{name}.stderr").write_text(run.stderr)
-            (case / f"{name}.exit").write_text(f"{run.returncode}\n")
-            flag = ""
-            if "Traceback" in run.stderr or run.returncode not in EXIT_CODES:
-                bad.append(f"{dms.stem} {name}")
-                flag = "  BAD"
-            print(f"{dms.stem:24} {name:12} exit {run.returncode}  "
-                  f"{seconds:6.2f} s{flag}", flush=True)
+        t0 = time.perf_counter()
+        run = subprocess.run([sys.executable, "-m", "diffmod.cli", *args],
+                             cwd=ROOT, env=env, capture_output=True,
+                             text=True)
+        seconds = time.perf_counter() - t0
+        runs += 1
+        stdout = "".join(line for line in run.stdout.splitlines(True)
+                         if not line.lstrip().startswith('"elapsed_ms":'))
+        (case / f"{name}.stdout").write_text(stdout)
+        (case / f"{name}.stderr").write_text(run.stderr)
+        (case / f"{name}.exit").write_text(f"{run.returncode}\n")
+        flag = ""
+        if "Traceback" in run.stderr or run.returncode not in EXIT_CODES:
+            bad.append(f"{stem} {name}")
+            flag = "  BAD"
+        print(f"{stem:24} {name:12} exit {run.returncode}  "
+              f"{seconds:6.2f} s{flag}", flush=True)
     print(f"{runs} runs in "
           f"{time.perf_counter() - t_all:.1f} s; "
           f"{len(bad)} with a traceback or an unexpected exit status")

@@ -78,6 +78,8 @@ def _compose_into(terms, coeff, mu, other):
             binom = mono_binom(mu, kappa)
             _add_into(acc, mono_add(mono_sub(mu, kappa), nu),
                       db if binom == 1 else db * binom)
+            if db._q is not None:   # a constant: every derivative vanishes
+                continue
             for j in range(top):
                 if kappa[j] < mu[j]:
                     d = db.derive(j + 1)

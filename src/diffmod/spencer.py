@@ -1,9 +1,11 @@
 """Symbol spaces, prolongations and Spencer delta-cohomology dimensions.
 
 Everything is finite linear algebra over exact rationals (sympy's sparse
-`DomainMatrix` over QQ): a symbol is a subspace of S_q T* (x) E cut out by
-linear equations, its prolongations shift those equations up in symmetric
-degree, and the delta complex
+`DomainMatrix` over QQ, each rank taken on the tall side of its matrix,
+where elimination is several times faster): a symbol is a subspace of
+S_q T* (x) E cut out by linear equations, its prolongations shift those
+equations up in symmetric degree (mu -> mu + 1_i is injective, so the
+coefficients just move), and the delta complex
 
     wedge^{s-1} (x) g_{l+1}  ->  wedge^s (x) g_l  ->  wedge^{s+1} (x) g_{l-1}
 
@@ -42,7 +44,8 @@ class UnsupportedDimension(DiffmodError, ValueError):
 def _matrix(rows, ncols):
     dod = {}
     for i, row in enumerate(rows):
-        entries = {c: QQ.convert(v) for c, v in row.items() if v}
+        entries = {c: QQ(v.numerator, v.denominator)
+                   for c, v in row.items() if v}
         if entries:
             dod[i] = entries
     return DomainMatrix.from_dod(dod, (len(rows), ncols), QQ)
@@ -50,7 +53,8 @@ def _matrix(rows, ncols):
 
 def rank(rows, ncols):
     """Rank of a matrix given as a list of {col: value} dicts."""
-    return _matrix(rows, ncols).rank()
+    M = _matrix(rows, ncols)
+    return (M if len(rows) >= ncols else M.transpose()).rank()
 
 
 # ---------------------------------------------------------------------------
@@ -125,15 +129,9 @@ class SymbolSpace:
             raise ValueError("prolongation steps must be >= 1")
         g = self
         for _ in range(r):
-            eqs = []
-            for eq in g.equations:
-                for i in range(g.n):
-                    new = {}
-                    for (mu, k), v in eq.items():
-                        shifted = tuple(m + (1 if j == i else 0)
-                                        for j, m in enumerate(mu))
-                        new[(shifted, k)] = new.get((shifted, k), Fraction(0)) + v
-                    eqs.append({k: v for k, v in new.items() if v})
+            eqs = [{(mu[:i] + (mu[i] + 1,) + mu[i + 1:], k): v
+                    for (mu, k), v in eq.items()}
+                   for eq in g.equations for i in range(g.n)]
             g = SymbolSpace(g.n, g.m, g.q + 1, eqs)
         return g
 
@@ -234,11 +232,23 @@ def delta_squared_is_zero(n, m, s, q):
 # ---------------------------------------------------------------------------
 # classical symbol families (flat nondegenerate metric)
 
+def _metric(n, metric):
+    """The identity, or `metric` if symmetric, nondegenerate and n x n."""
+    if metric is None:
+        return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    om = [[Fraction(v) for v in row] for row in metric]
+    if ([len(row) for row in om] != [n] * n
+            or any(om[i][j] != om[j][i] for i in range(n) for j in range(i))
+            or rank([dict(enumerate(row)) for row in om], n) < n):
+        raise UnsupportedDimension("metric: not symmetric nondegenerate n x n")
+    return om
+
+
 def killing_symbol(n, metric=None):
     """First-order symbol of the isometry system: omega-antisymmetric maps."""
     if n < 2:
         raise UnsupportedDimension("killing needs n >= 2")
-    om = metric or [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    om = _metric(n, metric)
     units = sym_monos(n, 1)
     eqs = []
     for i in range(n):
@@ -259,10 +269,7 @@ def conformal_symbol(n, metric=None):
     """First-order symbol of the conformal system: trace part set free."""
     if n < 3:
         raise UnsupportedDimension("conformal needs n >= 3")
-    om = metric or [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    if rank([{j: Fraction(v) for j, v in enumerate(row) if v} for row in om],
-            n) < n:
-        raise UnsupportedDimension("metric is degenerate")
+    om = _metric(n, metric)
     units = sym_monos(n, 1)
     eqs = []
     for i in range(n):

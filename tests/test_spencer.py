@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import sympy
+
 from diffmod.spencer import (SymbolSpace, UnsupportedDimension,
                              acyclicity_check, classical_dims,
                              conformal_diagram_dims, conformal_symbol,
@@ -41,6 +43,44 @@ def test_isometry_cohomology_independent_of_generic_metric():
     g = killing_symbol(3, metric=om)
     assert g.dim == 3
     assert delta_cohomology_dim(g, 2, 0) == closed_h2(3)
+
+
+@pytest.mark.parametrize("family", [killing_symbol, conformal_symbol])
+@pytest.mark.parametrize("metric", [
+    [[1, 0, 0], [0, 1, 0], [0, 0, 0]],          # degenerate
+    [[1, 1, 0], [0, 1, 0], [0, 0, 1]],          # invertible, not symmetric
+    [[1, 0], [0, 1]],                           # not 3 x 3
+    [[1, 0, 0], [0, 1], [0, 0, 1]],             # ragged
+])
+def test_bad_metric_is_rejected(family, metric):
+    with pytest.raises(UnsupportedDimension):
+        family(3, metric=metric)
+
+
+def _prolong_by_accumulation(g):
+    """The accumulate-and-filter rule: shift each term of each equation
+    by x_i, sum the terms that meet and drop the zero sums."""
+    eqs = []
+    for eq in g.equations:
+        for i in range(g.n):
+            new = {}
+            for (mu, k), v in eq.items():
+                shifted = tuple(m + (1 if j == i else 0)
+                                for j, m in enumerate(mu))
+                new[(shifted, k)] = new.get((shifted, k), Fraction(0)) + v
+            eqs.append({key: v for key, v in new.items() if v})
+    return eqs
+
+
+@pytest.mark.parametrize("family", [killing_symbol, conformal_symbol])
+@pytest.mark.parametrize("n", [3, 4])
+def test_prolong_matches_accumulation(family, n):
+    g = family(n)
+    for _ in range(3):
+        h = g.prolong()
+        assert h.q == g.q + 1
+        assert h.equations == _prolong_by_accumulation(g)
+        g = h
 
 
 def test_conformal_symbol_finite_type():
@@ -140,6 +180,35 @@ def test_rank_helper():
     assert rank(rows, 3) == 2
 
 
+def _transposed(rows, ncols):
+    cols = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            cols[c][i] = v
+    return cols
+
+
+@pytest.mark.parametrize("rows,ncols", [
+    # wide, tall and square, each of lower rank than its short side
+    ([{0: 1, 2: 2, 4: -1}, {1: Fraction(1, 3), 3: 5},
+      {0: 2, 1: Fraction(2, 3), 2: 4, 3: 10, 4: -2}], 5),
+    ([{0: 1, 1: 2}, {0: 2, 1: 4}, {1: Fraction(-1, 7)}, {0: 3}, {}], 2),
+    ([{0: 1, 1: 1, 2: 0}, {0: 1, 2: 1}, {1: -1, 2: 1}], 3),
+    ([{0: 1}, {1: 1}, {2: 1}], 3),
+    ([{0: Fraction(1, 2), 3: 1}, {0: 1, 3: 2}], 6),
+    # edge cases: no rows, empty rows, all-zero rows, no columns
+    ([], 0),
+    ([{}], 3),
+    ([{0: 0, 1: Fraction(0)}, {}], 2),
+    ([{}, {}], 0),
+])
+def test_rank_either_orientation(rows, ncols):
+    dense = sympy.Matrix(len(rows), ncols,
+                         lambda i, j: rows[i].get(j, 0)).rank()
+    assert rank(rows, ncols) == dense
+    assert rank(_transposed(rows, ncols), len(rows)) == dense
+
+
 def test_conformal_n6_table_is_exact():
     t = classical_dims("conformal", 6)
     assert t["dims"] == [6, 20, 84, 140, 84, 20, 6]
@@ -163,9 +232,13 @@ def test_finite_type_tables_are_exact_sequences(family, n):
     ("killing", 6, [6, 21, 105, 210, 189, 84, 15], [1, 2, 1, 1, 1, 1]),
     ("killing", 7, [7, 28, 196, 490, 588, 392, 140, 21],
      [1, 2, 1, 1, 1, 1, 1]),
+    ("killing", 8, [8, 36, 336, 1008, 1512, 1344, 720, 216, 28],
+     [1, 2, 1, 1, 1, 1, 1, 1]),
     ("conformal", 3, [3, 5, 5, 3], [1, 3, 1]),
     ("conformal", 4, [4, 9, 10, 9, 4], [1, 2, 2, 1]),
     ("conformal", 5, [5, 14, 35, 35, 14, 5], [1, 2, 1, 2, 1]),
+    ("conformal", 7, [7, 27, 168, 378, 378, 168, 27, 7],
+     [1, 2, 1, 1, 1, 2, 1]),
 ])
 def test_pinned_tables(family, n, dims, orders):
     t = classical_dims(family, n)
