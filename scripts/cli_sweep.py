@@ -4,14 +4,16 @@
     python3 scripts/cli_sweep.py OUTDIR
 
 Runs `python -m diffmod.cli` from the root of this checkout for the 13
-commands below on each `.dms` file of `src/diffmod/corpus`, and for the
-16 `spencer` invocations of SPENCER (the Killing, conformal and contact
-tables, the n = 5 diagram and three inputs it must refuse), one process
-at a time under PYTHONHASHSEED=0.  Each run leaves three files in
-OUTDIR/<case>/, where the case is the corpus file's stem or `spencer`:
-`<command>.stdout` (standard output without its `elapsed_ms` line),
-`<command>.stderr` and `<command>.exit` (the exit status).  Nothing else
-in them depends on the clock or on where the checkout lives, so
+commands below on each `.dms` file of `src/diffmod/corpus`, for the 2
+runs of ASSUMED (`torsion` and `parametrize` on `oneform_area_lie` in the
+case c = 0) and for the 16 `spencer` invocations of SPENCER (the Killing,
+conformal and contact tables, the n = 5 diagram and three inputs it must
+refuse): 213 runs, one process at a time under PYTHONHASHSEED=0.  Each
+run leaves three files in OUTDIR/<case>/, where the case is the corpus
+file's stem or `spencer`: `<command>.stdout` (standard output without its
+`elapsed_ms` line), `<command>.stderr` and `<command>.exit` (the exit
+status).  Nothing else in them depends on the clock or on where the
+checkout lives, so
 
     diff -r PARENT_OUTDIR CHANGE_OUTDIR
 
@@ -46,6 +48,12 @@ COMMANDS = {
     "ext-i1-split": ["ext", "--i", "1", "--split"],
     "parametrize": ["parametrize"],
 }
+ASSUMED = {
+    "oneform_area_lie": {
+        "torsion-c0": ["torsion", "--assume", "c=0"],
+        "parametrize-c0": ["parametrize", "--assume", "c=0"],
+    },
+}
 SPENCER = {
     **{f"killing-n{n}": ["--family", "killing", "--n", str(n)]
        for n in range(2, 8)},
@@ -71,6 +79,8 @@ def main(argv):
     jobs = [(dms.stem, name, [*args, str(CORPUS / dms.name)])
             for dms in sorted((ROOT / CORPUS).glob("*.dms"))
             for name, args in COMMANDS.items()]
+    jobs += [(stem, name, [*args, str(CORPUS / f"{stem}.dms")])
+             for stem, runs in ASSUMED.items() for name, args in runs.items()]
     jobs += [("spencer", name, ["spencer", *args])
              for name, args in SPENCER.items()]
     runs, bad = 0, []
@@ -93,7 +103,7 @@ def main(argv):
         if "Traceback" in run.stderr or run.returncode not in EXIT_CODES:
             bad.append(f"{stem} {name}")
             flag = "  BAD"
-        print(f"{stem:24} {name:12} exit {run.returncode}  "
+        print(f"{stem:24} {name:14} exit {run.returncode}  "
               f"{seconds:6.2f} s{flag}", flush=True)
     print(f"{runs} runs in "
           f"{time.perf_counter() - t_all:.1f} s; "

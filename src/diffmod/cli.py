@@ -153,7 +153,6 @@ def sequence_payload(problem, args):
     return {
         "orders": seq.orders,
         "shape": list(seq.shape),
-        "formally_exact": seq.formally_exact,
         "strictly_exact": seq.strictly_exact,
         "involutive": seq.involutive,
         "terminated": seq.terminated,
@@ -218,7 +217,6 @@ def ext_payload(problem, args):
             "annihilator": c.annihilator.to_string(""),
             "verified": True,   # duality._certificates replayed it
         } for c in report.torsion_generators],
-        "case_context": dict(problem.case),
     }
 
 

@@ -8,10 +8,12 @@ the rows that fail to reduce generate the torsion submodule.
 
 The five-step test on D1 is the i = 1 step of ext on the chain
 [ad D1, CC(ad D1)]: its generators are CC(D) and its image is D1, so both
-find the generators outside the image with the same `_outside`.  Every
-torsion certificate, from `torsion_submodule`, `ext_module` or a refused
-`parametrize`, is built by `_certificates` and replayed before it is
-returned.
+find the generators outside the image with the same `_outside`.  Each
+torsion certificate is built by `_certificates` and replayed.  The raw
+syzygies of one completion of [row; presentation] generate its syzygy
+module (as `compatibility_conditions` assumes), so their first components
+generate the annihilator ideal of row; the least-order one, made monic, is
+the annihilator, not necessarily of least order in the ideal.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .field import DiffmodError, Session
-from .janet import complete, count_parametric
+from .janet import _Row, _TermKeys, complete, count_parametric
 from .ops import DEFAULT_ORDER, OpMatrix, ScalarOp
 from .syzygy import (InvalidArgument, compatibility_conditions,
                      differential_rank)
@@ -136,26 +138,24 @@ def double_duality_test(D1, order=None, session=None):
 def annihilator_of(row, presentation, order=None, session=None):
     """A nonzero P with P o row inside the row module of the presentation.
 
-    Found through the syzygies of the stacked matrix [row; presentation]:
-    any generating syzygy with a nonzero first component is such a P.
-    Returns (P, witness) with P*row = witness o presentation, or None.
+    The raw syzygies (P, -witness) of one completion of [row; presentation]
+    generate its syzygy module.  Returns the least-order one with P nonzero
+    (the first on a tie) as (P, witness), made monic; P need not be of
+    least order in the annihilator ideal.  None when row is not torsion.
     """
     order = order or DEFAULT_ORDER
-    field = presentation.field
-    session = session or Session(field)
-    stacked = row.stack(presentation)
-    cc = compatibility_conditions(stacked, order=order, session=session)
-    candidates = []
-    for i in range(cc.rows):
-        P = cc.entries[i][0]
-        if not P.is_zero:
-            witness = [-cc.entries[i][j] for j in range(1, cc.cols)]
-            candidates.append((P, witness))
-    if not candidates:
+    session = session or Session(presentation.field)
+    raw = complete(row.stack(presentation), order=order,
+                   session=session).trace.cc_rows
+    syz = min((s for s in raw if not s[0].is_zero), default=None,
+              key=lambda s: s[0].order)
+    if syz is None:
         return None
-    P, witness = min(candidates, key=lambda c: c[0].order)
-    return P, OpMatrix.from_rows(field, [witness], presentation.rows,
-                                 col_labels=presentation.row_labels)
+    found = _Row([syz[0]], [-e for e in syz[1:]]).monic(
+        _TermKeys(order, 1).__getitem__, session)
+    return found.op[0], OpMatrix.from_rows(
+        presentation.field, [found.src], presentation.rows,
+        col_labels=presentation.row_labels)
 
 
 def torsion_submodule(presentation, order=None, session=None):

@@ -95,12 +95,10 @@ class DiffSequence:
     field: object
     ops: list
     orders: list
-    formally_exact: bool
     strictly_exact: bool
     involutive: bool
     terminated: bool
     certificates: list = dc_field(default_factory=list)
-    per_op: list = dc_field(default_factory=list)
 
     def __len__(self):
         return len(self.ops)
@@ -170,12 +168,10 @@ def build_sequence(A, max_steps=None, order=None, session=None):
         field=field,
         ops=ops,
         orders=[op.order for op in ops],
-        formally_exact=True,
         strictly_exact=all(p["formally_integrable"] for p in per_op),
         involutive=all(p["involutive"] for p in per_op),
         terminated=terminated,
         certificates=certificates,
-        per_op=per_op,
     )
 
 

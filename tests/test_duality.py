@@ -2,14 +2,16 @@ import pytest
 import sympy as sp
 
 from diffmod import duality
+from diffmod.dsl import load_problem
 from diffmod.duality import (NotParametrizable, double_duality_test,
                              ext_module, kernel_analysis, parametrize,
                              torsion_submodule)
 from diffmod.field import DiffField, DiffmodError, Session
 from diffmod.janet import complete
-from diffmod.ops import OpMatrix, ScalarOp
+from diffmod.ops import DEFAULT_ORDER, OpMatrix, ScalarOp
 from diffmod.syzygy import DiffSequence, build_sequence, compatibility_conditions
-from conftest import corpus_session, load_corpus_system
+from conftest import (CORPUS_NAMES, corpus_session, load_corpus_system,
+                      random_constant_system)
 
 
 def test_kernel_analysis_identity():
@@ -122,8 +124,8 @@ def test_ext_flags_match_for_both_resolutions():
     assert all(basis.contains(C.row(i)) for i in range(C.rows))
     long_seq = DiffSequence(field=F, ops=[matrix, D1, D2],
                             orders=[matrix.order, D1.order, D2.order],
-                            formally_exact=True, strictly_exact=False,
-                            involutive=False, terminated=True)
+                            strictly_exact=False, involutive=False,
+                            terminated=True)
     short_seq = build_sequence(matrix)
     for i in range(4):
         a = ext_module(long_seq, i)
@@ -226,6 +228,75 @@ def test_torsion_row_without_annihilator_is_an_error(monkeypatch):
         torsion_submodule(matrix, session=sess.copy())
     with pytest.raises(DiffmodError, match="no annihilator"):
         ext_module(seq, 1, session=sess.copy())
+
+
+def _annihilator_ideals(row, A, order, session):
+    """The left ideal of P with P o row in the rows of A, generated two ways
+    as 1-column matrices: by the first components of the raw syzygies of
+    one completion of [row; A], and by the first column of its CC."""
+    stacked = row.stack(A)
+    raw = complete(stacked, order=order, session=session).trace.cc_rows
+    cc = compatibility_conditions(stacked, order=order, session=session)
+    firsts = ([s[0] for s in raw],
+              [cc.entries[i][0] for i in range(cc.rows)])
+    return [OpMatrix.from_rows(A.field, [[P] for P in ps if not P.is_zero], 1)
+            for ps in firsts]
+
+
+def _torsion_problems():
+    for name in CORPUS_NAMES:
+        if name != "oneform_area_lie":
+            p = load_problem(load_corpus_system(name))
+            yield name, p.matrix, p.order, p.session
+    for seed in range(40):
+        A = random_constant_system(seed)
+        yield f"seed {seed}", A, DEFAULT_ORDER, Session(A.field)
+
+
+def test_raw_syzygies_generate_the_annihilator_ideal():
+    """The premise of annihilator_of: the raw syzygies of a completion
+    generate the syzygy module, so their first components give the same
+    ideal as the first column of the full CC; on the corpus the least
+    orders agree too."""
+    rows = 0
+    for label, A, order, session in _torsion_problems():
+        for row in double_duality_test(A, order, session).extra_cc:
+            raw, old = _annihilator_ideals(row, A, order, session)
+            assert raw.rows and old.rows, label
+            assert complete(raw, order, session, False).contains_matrix(old)
+            assert complete(old, order, session, False).contains_matrix(raw)
+            if not label.startswith("seed"):
+                assert (min(r[0].order for r in raw.entries)
+                        == min(r[0].order for r in old.entries)), label
+            rows += 1
+    assert rows == 79
+
+
+def _lead_is_one(P, order):
+    mu = max(P.terms, key=lambda m: order.module_key((0, m), 1))
+    return P.terms[mu] == P.field.ratfunc(1)
+
+
+def test_unimodular_oneform_annihilators_are_monic():
+    p = load_problem(load_corpus_system("unimodular_oneform"))
+    certs = torsion_submodule(p.matrix, p.order, p.session)
+    assert [_cert_text(c) for c in certs] == [
+        ("xi1", "d1", "-x3*d3(w) + x3*d1(u) + w"),
+        ("xi2", "d1", "-d3(w) + d1(u)"),
+        ("xi3", "d1", "d2(w) - d1(v)")]
+
+
+def test_oneform_area_lie_torsion_when_c_vanishes():
+    """Under c = 0, xi1 and xi2 are torsion: their certificates replay with
+    monic annihilators, and a refused parametrize names both."""
+    p = load_problem(load_corpus_system("oneform_area_lie"), ["c=0"])
+    certs = torsion_submodule(p.matrix, p.order, p.session.copy())
+    assert [c.describe() for c in certs] == ["xi1", "xi2"]
+    assert all(c.verify() and _lead_is_one(c.annihilator, p.order)
+               for c in certs)
+    with pytest.raises(NotParametrizable) as err:
+        parametrize(p.matrix, p.order, p.session.copy())
+    assert [c.describe() for c in err.value.certificates] == ["xi1", "xi2"]
 
 
 def test_parametrize_zero_presentation():

@@ -52,7 +52,7 @@ def test_sequence_orders_and_splitting_relation():
     seq = build_sequence(matrix)
     assert seq.orders == [3, 6, 3]
     assert seq.shape == (1, 2, 2, 1)
-    assert seq.terminated and seq.formally_exact and not seq.strictly_exact
+    assert seq.terminated and not seq.strictly_exact
     assert all(seq.certificates)
     # second compatibility operator annihilates the first: certified by
     # composing the chain
