@@ -145,8 +145,8 @@ def annihilator_of(row, presentation, order=None, session=None):
     """
     order = order or DEFAULT_ORDER
     session = session or Session(presentation.field)
-    raw = complete(row.stack(presentation), order=order,
-                   session=session).trace.cc_rows
+    raw = complete(row.stack(presentation), order=order, session=session,
+                   track_src=True).trace.cc_rows
     syz = min((s for s in raw if not s[0].is_zero), default=None,
               key=lambda s: s[0].order)
     if syz is None:

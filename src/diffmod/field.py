@@ -248,7 +248,8 @@ class DiffField:
         """The sympy atom of d^mu(name): the funcparam or a Derivative."""
         sym = self.funcs[name]
         if any(mu):
-            sym = sp.diff(sym, *[(v, k) for v, k in zip(self.vars, mu) if k])
+            sym = sp.Derivative(sym, *[(v, k) for v, k in zip(self.vars, mu)
+                                       if k], evaluate=False)
         return sym
 
     def _jet(self, name, mu):
@@ -439,12 +440,10 @@ class RatFunc:
         return self.field.ratfunc(other)
 
     def _apply(self, op, other):
-        """self op other.  Rational constants skip sympy's polynomial gcd:
-        two of them meet as Fractions, and a product with one needs only
-        integer gcds (see _scaled)."""
+        """self op other, not both rational constants (the operators meet
+        those as Fractions).  A product with one constant needs only
+        integer gcds (see _scaled), not sympy's polynomial gcd."""
         a, b = self._q, other._q
-        if a is not None and b is not None:
-            return self.field._constant(op(a, b))
         if op is operator.mul and a is not None:
             return other._scaled(a)
         if op is operator.mul and b is not None:
@@ -466,6 +465,9 @@ class RatFunc:
         return RatFunc(self.field, self.field._frac.dtype(p, r))
 
     def __add__(self, other):
+        if (self._q is not None and isinstance(other, RatFunc)
+                and other._q is not None):
+            return RatFunc(self.field, self._q + other._q)
         other = self._coerce(other)
         if self.is_zero:
             return other
@@ -481,15 +483,15 @@ class RatFunc:
         return RatFunc(self.field, -self._f)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other.is_zero:
-            return self
-        return self._apply(operator.sub, other)
+        return self + -self._coerce(other)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
+        if (self._q is not None and isinstance(other, RatFunc)
+                and other._q is not None):
+            return RatFunc(self.field, self._q * other._q)
         other = self._coerce(other)
         if self.is_zero or other.is_zero:
             return self.field.zero
@@ -505,6 +507,8 @@ class RatFunc:
         other = self._coerce(other)
         if other.is_zero:
             raise DivisionByZero("division by zero in coefficient field")
+        if self._q is not None and other._q is not None:
+            return RatFunc(self.field, self._q / other._q)
         if other.is_one:
             return self
         return self._apply(operator.truediv, other)

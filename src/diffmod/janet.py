@@ -200,6 +200,7 @@ class InvolutiveBasis:
         self.trace = CompletionTrace()
         self._rows = []                # list of _Row, monic, with mult vars
         self._mult = []                # parallel list of frozensets
+        self._divisors = {}            # col -> [(position, lead, nonmult)]
         self._q = 0                    # highest order added
         self._key = _TermKeys(order, self.ncols).__getitem__
 
@@ -214,11 +215,19 @@ class InvolutiveBasis:
         return leads
 
     def _assign_mult(self):
+        """Multiplicative variables of every row, and the reducer index:
+        per column, each row's position, lead monomial and the 0-based
+        positions of its nonmultiplicative variables, in row order."""
         seq = self.order.seq(self.field.n)
         mult = {col: dict(zip(mus, janet_multiplicative(mus, seq)))
                 for col, mus in self._leads().items()}
-        self._mult = [mult[col][mu] for col, mu in
-                      (r.lead(self._key) for r in self._rows)]
+        self._mult, self._divisors = [], {}
+        for pos, r in enumerate(self._rows):
+            col, mu = r.lead(self._key)
+            m = mult[col][mu]
+            self._mult.append(m)
+            self._divisors.setdefault(col, []).append(
+                (pos, mu, [i for i in range(len(mu)) if i + 1 not in m]))
 
     @property
     def rows(self):
@@ -253,30 +262,35 @@ class InvolutiveBasis:
     # -- reduction --------------------------------------------------------
 
     def _reducer(self, term):
+        """The first row, in basis order, whose lead involutively divides
+        term, with the quotient monomial; rows are looked up by position,
+        so tail_reduce may replace them in place."""
         j, mu = term
-        for r, mult in zip(self._rows, self._mult):
-            col, lam = r.lead(self._key)
-            if col != j or not mono_le(lam, mu):
-                continue
-            kappa = mono_sub(mu, lam)
-            if all(kappa[i] == 0 or (i + 1) in mult for i in range(len(kappa))):
-                return r, kappa
+        for pos, lam, nonmult in self._divisors.get(j, ()):
+            if mono_le(lam, mu) and all(mu[i] == lam[i] for i in nonmult):
+                return self._rows[pos], mono_sub(mu, lam)
         return None
 
     def reduce_row(self, row, budget=None, tail=False):
         """Full involutive normal form of an augmented row.
 
         With tail=True the row's own lead term is left alone and only the
-        terms below it are reduced.
+        terms below it are reduced.  Each pass looks only below the term
+        the last step reduced: the reducer is monic, so that term cancels,
+        and every term of c * d^kappa o r lies at or below it (the order
+        is compatible with d^kappa and Leibniz terms lower the monomial),
+        so the terms above it are unchanged and already irreducible.
         """
-        skip = row.lead(self._key) if tail else None
+        key = self._key
+        top = key(row.lead(key)) if tail else None
         work = row
         while True:
-            terms = [(j, mu) for j, e in enumerate(work.op) for mu in e.terms
-                     if (j, mu) != skip]
+            terms = [(j, mu) for j, e in enumerate(work.op) for mu in e.terms]
+            if top is not None:
+                terms = [t for t in terms if key(t) < top]
             if not terms:
                 break
-            terms.sort(key=self._key, reverse=True)
+            terms.sort(key=key, reverse=True)
             hit = None
             for t in terms:
                 found = self._reducer(t)
@@ -288,6 +302,7 @@ class InvolutiveBasis:
             (j, mu), (r, kappa) = hit
             c = work.op[j].terms[mu]
             work = work.sub_multiple(c, kappa, r)
+            top = key((j, mu))
             if budget is not None:
                 budget.tick()
         return work
@@ -418,12 +433,16 @@ class InvolutiveBasis:
                 self._rows[idx] = work
 
 
-def complete(A, order=None, session=None, track_src=True):
+def complete(A, order=None, session=None, track_src=False):
     """Involutive completion of the row module of A (Janet division).
 
-    Returns an InvolutiveBasis whose trace carries the completion steps,
-    the integrability conditions (rows whose order dropped below their
-    prolongation order) and every compatibility condition met on the way.
+    Returns an InvolutiveBasis whose trace carries the completion steps
+    and the integrability conditions (rows whose order dropped below their
+    prolongation order).  Only with track_src does each row also record
+    its sources, so that src_matrix() and trace.cc_rows, the compatibility
+    conditions met on the way, are filled; the basis is the same either
+    way, and an untracked completion logs a row that reduces to zero as
+    "zero", not "cc".
     """
     if A.rows and A.cols == 0:
         raise ValueError("cannot complete a matrix with no columns")

@@ -67,11 +67,16 @@ def _compose_into(terms, coeff, mu, other):
     costs.  Each d^kappa(b) is derived once, from d^(kappa - e_j)(b) with
     j the first index where kappa is nonzero, and a derivative that
     vanishes ends its branch, since d of zero is zero: for a coefficient
-    free of x only kappa = 0 is visited.
+    free of x only kappa = 0 is visited.  A rational constant b (_q set)
+    has no derivatives at all, so its one Leibniz term, binomial 1, goes
+    straight into terms as b * coeff, with no branch or per-monomial sum.
     """
     n = len(mu)
     acc = {}
     for nu, b in other.terms.items():
+        if b._q is not None:
+            _add_into(terms, mono_add(mu, nu), b * coeff)
+            continue
         stack = [((0,) * n, b, n)]  # kappa, d^kappa(b), indices it may grow
         while stack:
             kappa, db, top = stack.pop()

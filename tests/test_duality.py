@@ -235,7 +235,8 @@ def _annihilator_ideals(row, A, order, session):
     as 1-column matrices: by the first components of the raw syzygies of
     one completion of [row; A], and by the first column of its CC."""
     stacked = row.stack(A)
-    raw = complete(stacked, order=order, session=session).trace.cc_rows
+    raw = complete(stacked, order=order, session=session,
+                   track_src=True).trace.cc_rows
     cc = compatibility_conditions(stacked, order=order, session=session)
     firsts = ([s[0] for s in raw],
               [cc.entries[i][0] for i in range(cc.rows)])

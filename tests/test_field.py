@@ -103,6 +103,19 @@ def test_funcparam_formal_derivatives():
     assert G.derive(1, G.derive(2, a)) == G.derive(2, G.derive(1, a))
 
 
+def test_jet_atoms_are_the_derivatives_sympy_evaluates():
+    """_jet_symbol builds its Derivative without evaluating it; the atom is
+    the one sp.diff returns, equal, hash-equal and printed alike."""
+    G = DiffField(3, func_params=["a"])
+    f = G.funcs["a"]
+    for mu in ((1, 0, 0), (0, 2, 1), (3, 0, 2), (1, 1, 1), (0, 0, 4)):
+        got = G._jet_symbol("a", mu)
+        want = sp.diff(f, *[(v, k) for v, k in zip(G.vars, mu) if k])
+        assert got == want and hash(got) == hash(want), mu
+        assert sp.sstr(got) == sp.sstr(want), mu
+    assert G._jet_symbol("a", (0, 0, 0)) == f
+
+
 def test_is_zero_under():
     G = DiffField(1, params=["c"], func_params=["a"])
     lam = G.ratfunc("3")

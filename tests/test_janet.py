@@ -1,14 +1,17 @@
 import itertools
+import random
 
 import pytest
 import sympy as sp
 
 from diffmod import janet
+from diffmod.dsl import load_problem
 from diffmod.field import DiffField, ResourceLimit, Session
 from diffmod.janet import (InvolutiveBasis, board_of_matrix, complete,
                            count_parametric, janet_board)
-from diffmod.ops import DEFAULT_ORDER, OpMatrix, ScalarOp, TermOrder
-from conftest import (corpus_session, load_corpus_system,
+from diffmod.ops import (DEFAULT_ORDER, OpMatrix, ScalarOp, TermOrder,
+                         mono_le, mono_sub)
+from conftest import (CORPUS_NAMES, corpus_session, load_corpus_system,
                       random_constant_system, random_matrix)
 
 
@@ -173,7 +176,7 @@ def test_trace_replays_basis_rows():
     """Every basis row is the recorded D-combination of the inputs."""
     for name in ("unexpected_cc_pair", "contact_pfaffian"):
         field, matrix, meta = load_corpus_system(name)
-        basis = complete(matrix)
+        basis = complete(matrix, track_src=True)
         src = basis.src_matrix()
         assert src is not None
         replay = src.compose(matrix)
@@ -209,7 +212,7 @@ def test_grown_basis_matches_completion():
 
 def test_a_basis_with_sources_adds_only_its_input():
     field, matrix, meta = load_corpus_system("killing_flat_n2")
-    basis = complete(matrix)
+    basis = complete(matrix, track_src=True)
     with pytest.raises(ValueError, match="only its input"):
         basis.add(OpMatrix.from_rows(field, [matrix.row(0)], matrix.cols))
 
@@ -246,3 +249,124 @@ def test_one_pass_step_matches_composition():
                       - mono.apply(OpMatrix(G, [right])
                                    .apply_to_section(section)[0]))
             assert acted == expect
+
+
+def _problems(seeds):
+    """(label, matrix, order, session) of every corpus problem, both cases
+    of the split parameter of oneform_area_lie, and the seeded systems."""
+    for name in CORPUS_NAMES:
+        system = load_corpus_system(name)
+        for assume in ((["c!=0"], ["c=0"]) if name == "oneform_area_lie"
+                       else ([],)):
+            p = load_problem(system, assume)
+            yield f"{name} {assume}", p.matrix, p.order, p.session
+    for seed in seeds:
+        A = random_constant_system(seed)
+        yield f"seed {seed}", A, DEFAULT_ORDER, Session(A.field)
+
+
+def test_tracking_sources_changes_only_the_sources():
+    """Sources never steer the reduction of the operator part: a tracked
+    and an untracked completion give the same basis, Janet data,
+    integrability conditions, provisos and number of added rows."""
+    for label, A, order, session in _problems(range(40)):
+        bases = [complete(A, order, session.copy(), track)
+                 for track in (False, True)]
+        plain, tracked = bases
+        assert plain.src_matrix() is None and not plain.trace.cc_rows, label
+        assert tracked.src_matrix() is not None, label
+        assert plain.matrix() == tracked.matrix(), label
+        assert ([(r.lead, r.mult_vars) for r in plain.rows]
+                == [(r.lead, r.mult_vars) for r in tracked.rows]), label
+        assert (plain.trace.integrability_conditions
+                == tracked.trace.integrability_conditions), label
+        assert plain.session.provisos == tracked.session.provisos, label
+        adds = [sum(s["event"] == "add" for s in b.trace.steps) for b in bases]
+        assert adds[0] == adds[1], label
+
+
+def _linear_reducer(basis, term):
+    """The first basis row whose lead involutively divides term, by a
+    scan over every row."""
+    j, mu = term
+    for r, mult in zip(basis._rows, basis._mult):
+        col, lam = r.lead(basis._key)
+        if col == j and mono_le(lam, mu):
+            kappa = mono_sub(mu, lam)
+            if all(k == 0 or i + 1 in mult for i, k in enumerate(kappa)):
+                return r, kappa
+    return None
+
+
+def _rescanned_normal_form(basis, row, budget, tail=False):
+    """reduce_row as a full rescan: after every step all terms are sorted
+    again from the top and searched with the linear reducer."""
+    key = basis._key
+    skip = row.lead(key) if tail else None
+    work = row
+    while True:
+        terms = sorted((t for t in ((j, mu) for j, e in enumerate(work.op)
+                                    for mu in e.terms) if t != skip),
+                       key=key, reverse=True)
+        hit = next(((t, found) for t in terms
+                    if (found := _linear_reducer(basis, t)) is not None),
+                   None)
+        if hit is None:
+            return work
+        (j, mu), (r, kappa) = hit
+        work = work.sub_multiple(work.op[j].terms[mu], kappa, r)
+        budget.tick()
+
+
+def test_resumed_reduction_equals_a_full_rescan():
+    """reduce_row resumes each pass below the term it just reduced and
+    finds reducers through the per-column index; a full rescan with a
+    linear divisor scan makes the same steps and the same normal forms,
+    on a completed basis before and after tail reduction, for sums of
+    two prolongations of input rows and, in tail mode, for the basis
+    rows themselves."""
+    problems = [(f"seed {seed}", A, DEFAULT_ORDER, Session(A.field))
+                for seed in range(20)
+                for A in [random_constant_system(seed)]]
+    for name in ("contact_pfaffian", "unimodular_oneform"):
+        p = load_problem(load_corpus_system(name))
+        problems.append((name, p.matrix, p.order, p.session))
+    compared = steps = 0
+    for label, A, order, session in problems:
+        rng = random.Random(label)
+        field = A.field
+        basis = InvolutiveBasis(A, order, session, track_src=True)
+        basis.add(A)
+        rows = []
+        for _ in range(3 * A.rows):
+            # d^mu (row i) + c d^nu (row k) for random monomials of order
+            # 1 to 3, as an augmented row with its sources
+            op = [ScalarOp.zero(field)] * A.cols
+            src = [ScalarOp.zero(field)] * A.rows
+            for c in (1, rng.choice((-2, -1, 1, 3))):
+                i = rng.randrange(A.rows)
+                mu = [0] * field.n
+                for _ in range(rng.randint(1, 3)):
+                    mu[rng.randrange(field.n)] += 1
+                d = ScalarOp.monomial(field, mu, c)
+                op = [a + d * e for a, e in zip(op, A.row(i))]
+                src[i] = src[i] + d
+            rows.append(janet._Row(op, src))
+        for stage in ("completed", "tail reduced"):
+            if stage == "tail reduced":
+                basis.tail_reduce()
+            cases = [(r, False) for r in rows]
+            cases += [(r, True) for r in basis._rows]
+            for row, tail in cases:
+                fast, slow = janet._Budget(0), janet._Budget(0)
+                got = basis.reduce_row(row, fast, tail=tail)
+                want = _rescanned_normal_form(basis, row, slow, tail=tail)
+                where = f"{label}, {stage}, tail={tail}"
+                assert fast.steps == slow.steps, where
+                assert [e.terms for e in got.op] == \
+                    [e.terms for e in want.op], where
+                assert [e.terms for e in got.src] == \
+                    [e.terms for e in want.src], where
+                compared += 1
+                steps += fast.steps
+    assert compared > 500 and steps > compared
