@@ -33,16 +33,25 @@ from pathlib import Path
 
 
 def run_once(checkout, workload, seed, seconds):
-    """One run of the checkout's benchmark: its final JSON line, with the
-    meta line under "meta"."""
+    """One run of the checkout's benchmark: see parse_run."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     run = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    lines = run.stdout.splitlines()
-    if run.returncode != 0 or not lines:
+    if run.returncode != 0 or not run.stdout.splitlines():
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited "
                            f"{run.returncode}:\n{run.stderr[-2000:]}")
+    return parse_run(run.stdout, checkout)
+
+
+def parse_run(stdout, checkout):
+    """The final JSON line of a run's standard output, with the meta line
+    under "meta".  A run whose outputs failed their checks exits 0 with
+    "correct" false; its timings measure a wrong program, so it raises."""
+    lines = stdout.splitlines()
     result = json.loads(lines[-1])
+    if result.get("correct") is not True:
+        raise RuntimeError(f"the benchmark in {checkout} gave wrong outputs "
+                           f"(correct: {result.get('correct')!r})")
     meta = [ln[5:] for ln in lines if ln.startswith("meta ")]
     result["meta"] = json.loads(meta[-1]) if meta else {}
     return result

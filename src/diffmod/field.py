@@ -23,7 +23,14 @@ Meeting a new jet or symbol makes a new FracField over the grown,
 sorted generator set.  An element of an older one moves over when it is
 next read, by generator position: each old generator is the very object
 the field indexes, so the move is one dictionary lookup per generator
-and a remap of exponent tuples, with no sympy equality test.
+and a remap of exponent tuples, with no sympy equality test.  The rings
+carry generic monomial functions (_Ring), so building one compiles no
+code, whatever its number of generators.
+
+Sums, differences and products of two polynomials (denominator 1) skip
+sympy's cancel, which could remove nothing, and so does the derivative
+of a polynomial when each jet steps up to a polynomial; the derivative of
+a fraction is then one cancel of the quotient rule.
 """
 
 from __future__ import annotations
@@ -36,8 +43,11 @@ from fractions import Fraction
 import sympy as sp
 from sympy.polys.domains import ZZ
 from sympy.polys.fields import FracElement, FracField
+from sympy.polys.orderings import lex
+from sympy.polys.polyerrors import GeneratorsError
+from sympy.polys.polyoptions import Domain as DomainOpt, Order as OrderOpt
 from sympy.polys.polyutils import _sort_gens
-from sympy.polys.rings import PolyRing
+from sympy.polys.rings import PolyElement, PolyRing
 
 from .ops import mono_str
 
@@ -132,6 +142,74 @@ def _cancel_lc(p):
     return max(p.iterterms(), key=lambda t: [t[0][k] for k in order])[1]
 
 
+class _Ring(PolyRing):
+    """sympy's PolyRing with generic monomial arithmetic in place of the
+    seven functions sympy compiles for every generator count.  It is
+    equal to, and hashes as, PolyRing over the same symbols, and sympy's
+    clone and drop build rings of this class, so the gcds and factorings
+    under a field compile nothing either."""
+
+    monomial_mul = staticmethod(lambda a, b: tuple(map(operator.add, a, b)))
+    monomial_ldiv = staticmethod(lambda a, b: tuple(map(operator.sub, a, b)))
+    monomial_lcm = staticmethod(lambda a, b: tuple(map(max, a, b)))
+    monomial_gcd = staticmethod(lambda a, b: tuple(map(min, a, b)))
+
+    @staticmethod
+    def monomial_pow(a, k):
+        return tuple(map(operator.mul, a, itertools.repeat(k)))
+
+    @staticmethod
+    def monomial_mulpow(a, b, k):
+        return tuple(map(operator.add, a,
+                         map(operator.mul, b, itertools.repeat(k))))
+
+    @staticmethod
+    def monomial_div(a, b):
+        """a / b, or None when b does not divide a."""
+        c = tuple(map(operator.sub, a, b))
+        return None if c and min(c) < 0 else c
+
+    def __new__(cls, symbols, domain, order=lex):
+        # PolyRing.__new__ less its MonomialOps code generation
+        symbols = tuple(symbols)
+        domain = DomainOpt.preprocess(domain)
+        order = OrderOpt.preprocess(order)
+        if domain.is_Composite and set(symbols) & set(domain.symbols):
+            raise GeneratorsError("polynomial ring and its ground domain "
+                                  "share generators")
+        obj = object.__new__(cls)
+        obj.symbols, obj.ngens = symbols, len(symbols)
+        obj.domain, obj.order = domain, order
+        obj._hash_tuple = ("PolyRing", symbols, obj.ngens, domain, order)
+        obj._hash = hash(obj._hash_tuple)
+        obj.dtype = PolyElement(obj, ()).new
+        obj.zero_monom = (0,) * obj.ngens
+        obj.gens = obj._gens()
+        obj._gens_set = set(obj.gens)
+        obj._one = [(obj.zero_monom, domain.one)]
+        obj.leading_expv = (max if order is lex
+                            else lambda f: max(f, key=order))
+        return obj
+
+
+class _Field(FracField):
+    """sympy's FracField over a _Ring; equal to, and hashed as, FracField
+    over the same symbols."""
+
+    def __new__(cls, symbols, domain, order=lex):
+        ring = _Ring(symbols, domain, order)
+        obj = object.__new__(cls)
+        obj.ring, obj.symbols, obj.ngens = ring, ring.symbols, ring.ngens
+        obj.domain, obj.order = ring.domain, ring.order
+        obj._hash_tuple = ("FracField",) + ring._hash_tuple[1:]
+        obj._hash = hash(obj._hash_tuple)
+        obj.dtype = FracElement(obj, ring.zero).raw_new
+        obj.zero = obj.dtype(ring.zero)
+        obj.one = obj.dtype(ring.one)
+        obj.gens = obj._gens()
+        return obj
+
+
 class DiffField:
     """The differential field Q(params)(x1..xn) with formal funcparams."""
 
@@ -162,7 +240,7 @@ class DiffField:
         self._jets = {}       # (func name, multi-index) -> RatFunc value
         self._jet_of = {}     # jet generator -> (func name, multi-index)
         self._depth = 0
-        self._frac = FracField((), ZZ)
+        self._frac = _Field((), ZZ)
         self._extend(self.vars + self.params + tuple(self.funcs.values()))
 
     # -- construction -------------------------------------------------
@@ -234,7 +312,7 @@ class DiffField:
         element of the old field moves over lazily, by position (see
         RatFunc.frac)."""
         syms = sorted(set(self._frac.symbols).union(gens), key=_gen_key)
-        self._frac = FracField(syms, ZZ)
+        self._frac = _Field(syms, ZZ)
         self._index = {g: k for k, g in enumerate(syms)}
 
     def _deriv_index(self, atom):
@@ -302,15 +380,27 @@ class DiffField:
         if not steps:
             return self.zero
 
-        def dpoly(p):
-            return sum((s.frac * p.diff(self._index[g])
-                        for g, s in steps.items()), self._frac.zero)
-
         # a new jet may have extended the generators: read f after it
+        K = self._frac
         num, den = f.frac.numer, f.frac.denom
+        steps = [(s.frac, self._index[g]) for g, s in steps.items()]
+        if all(s.denom == 1 for s, _ in steps):
+            # polynomial steps: the derivative of a polynomial needs no
+            # cancel, and of a fraction one cancel of the quotient rule
+            def dpoly(p):
+                return sum((s.numer * p.diff(k) for s, k in steps),
+                           K.ring.zero)
+            if den == 1:
+                return RatFunc(self, K.raw_new(dpoly(num)))
+            return RatFunc(self, K.new(dpoly(num) * den - dpoly(den) * num,
+                                       den**2))
+
+        def dfrac(p):
+            return sum((s * p.diff(k) for s, k in steps), K.zero)
+
         if den.is_ground:
-            return RatFunc(self, dpoly(num) / den)
-        return RatFunc(self, (dpoly(num) * den - dpoly(den) * num) / den**2)
+            return RatFunc(self, dfrac(num) / den)
+        return RatFunc(self, (dfrac(num) * den - dfrac(den) * num) / den**2)
 
     def normalize(self, expr):
         """The element a sympy expression denotes: the one way into the field.
@@ -450,7 +540,11 @@ class RatFunc:
             return self._scaled(b)
         if op is operator.truediv and b is not None:
             return self._scaled(1 / b)
-        return RatFunc(self.field, op(self.frac, other.frac))
+        f, g = self.frac, other.frac
+        if op is not operator.truediv and f.denom == 1 and g.denom == 1:
+            # cancel(p, 1) is p: polynomials add and multiply as they are
+            return RatFunc(self.field, f.raw_new(op(f.numer, g.numer)))
+        return RatFunc(self.field, op(f, g))
 
     def _scaled(self, q):
         """self * q for a nonzero Fraction q = a/b.  The numerator p and
@@ -538,7 +632,7 @@ class RatFunc:
         # the field's generators are sorted by _gen_key, so the used ones
         # keep their relative order in the factoring ring
         used = [k for k, d in enumerate(numer.degrees()) if d > 0]
-        ring = PolyRing([K.symbols[k] for k in used], ZZ)
+        ring = _Ring([K.symbols[k] for k in used], ZZ)
         _, flist = _move(numer, {k: j for j, k in enumerate(used)},
                          ring).factor_list()
         flist.sort(key=lambda t: (len(t[0].to_dense()), t[1], t[0].to_dense()))

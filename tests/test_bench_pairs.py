@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -46,3 +47,19 @@ def test_summary_of_one_pair_and_unequal_sides():
     assert entry["parent"]["wall_s"]["q1"] == entry["parent"]["wall_s"]["q3"] == 2.0
     with pytest.raises(ValueError):
         bench_pairs.summarize([_run(1.0, 1.0)], [], BETTER)
+
+
+def _stdout(correct):
+    result = {"correct": correct, "attempted": 10, "failed": 0,
+              "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}
+    return "\n".join(["wall_s 1.0", 'meta {"git_sha": "abc"}',
+                      json.dumps(result)]) + "\n"
+
+
+def test_a_run_with_wrong_outputs_is_refused_naming_its_checkout():
+    result = bench_pairs.parse_run(_stdout(True), Path("base"))
+    assert result["meta"] == {"git_sha": "abc"}
+    assert result["metrics"]["wall_s"]["value"] == 1.0
+    for correct in (False, None, "true"):
+        with pytest.raises(RuntimeError, match="in change "):
+            bench_pairs.parse_run(_stdout(correct), Path("change"))
