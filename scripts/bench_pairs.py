@@ -5,8 +5,8 @@
 
 Pair i runs `python3 perfbench/run.py --workload W --seed S --seconds T
 --trace 0` in PARENT_DIR first when i is even and in CHANGE_DIR first
-when i is odd, one process at a time.  Each checkout runs its own
-perfbench/ and src/.  The summary goes into FILE as its
+when i is odd (first_side), one process at a time.  Each checkout runs
+its own perfbench/ and src/.  The summary goes into FILE as its
 `workloads.<W>` entry, which keeps the rest of an existing FILE, so one
 FILE collects the workloads of a BENCH_<label>.json:
 
@@ -16,6 +16,9 @@ FILE collects the workloads of a BENCH_<label>.json:
                    end-to-end metric its runs, median and quartiles
     change_wins    per metric, the pairs in which the change read better
                    (ties count for neither side)
+    first_run_wins per metric, the pairs in which the run that went first
+                   read better, whichever side it was: near pairs / 2
+                   when the order of a pair does not bias it
     median_ratio_change_over_parent
                    per metric, change median / parent median
 
@@ -57,6 +60,11 @@ def parse_run(stdout, checkout):
     return result
 
 
+def first_side(i):
+    """The side that runs first in pair i."""
+    return "parent" if i % 2 == 0 else "change"
+
+
 def _quartiles(values):
     if len(values) == 1:
         return values[0], values[0]
@@ -90,16 +98,19 @@ def summarize(parent_runs, change_runs, better):
         raise ValueError("need the same nonzero number of runs per side")
     names = list(better)
     parent, change = _side(parent_runs, names), _side(change_runs, names)
-    wins, ratios = {}, {}
+    wins, first_wins, ratios = {}, {}, {}
     for name in names:
         sign = 1 if better[name] == "lower" else -1
-        wins[name] = sum(
-            1 for p, c in zip(parent[name]["runs"], change[name]["runs"])
-            if sign * (p - c) > 0)
+        pairs = list(zip(parent[name]["runs"], change[name]["runs"]))
+        wins[name] = sum(1 for p, c in pairs if sign * (p - c) > 0)
+        in_run_order = [(p, c) if first_side(i) == "parent" else (c, p)
+                        for i, (p, c) in enumerate(pairs)]
+        first_wins[name] = sum(1 for a, b in in_run_order if sign * (b - a) > 0)
         base = parent[name]["median"]
         ratios[name] = round(change[name]["median"] / base, 4) if base else None
     return {"pairs": len(parent_runs), "parent": parent, "change": change,
-            "change_wins": wins, "median_ratio_change_over_parent": ratios}
+            "change_wins": wins, "first_run_wins": first_wins,
+            "median_ratio_change_over_parent": ratios}
 
 
 def parse_args(argv):
@@ -123,7 +134,8 @@ def main(argv):
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        order = (("parent", "change") if first_side(i) == "parent"
+                 else ("change", "parent"))
         for side in order:
             result = run_once(getattr(args, side), args.workload, args.seed,
                               args.seconds)
@@ -136,6 +148,7 @@ def main(argv):
     doc.setdefault("workloads", {})[args.workload] = entry
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wins {entry['change_wins']}  "
+          f"first-run wins {entry['first_run_wins']}  "
           f"ratios {entry['median_ratio_change_over_parent']}")
     return 0
 

@@ -4,6 +4,9 @@ A compatibility condition (CC) of the inhomogeneous system A(y) = eta is
 a row L with L o A = 0; the completion engine surfaces every such row in
 the original eta coordinates, and a minimalization pass shrinks the
 generating set so that unexpectedly low-order conditions are found.
+
+The differential rank needs no CC: it is the number of columns holding a
+lead of one Janet basis (Kolchin; W. M. Seiler, Involution, 2010).
 """
 
 from __future__ import annotations
@@ -175,20 +178,16 @@ def build_sequence(A, max_steps=None, order=None, session=None):
     )
 
 
-def differential_rank(A, order=None, session=None, _depth=0):
-    """Rank of A over the skew quotient field of D.
+def differential_rank(A, order=None, session=None):
+    """Rank of A over the skew quotient field of D: the number of columns
+    holding a lead of one Janet basis of A's row module.
 
-    Computed through the certified syzygy chain: rk A = rows(A) - rk CC(A),
-    with rank 0 for an empty or zero matrix.  Equals rk ad(A).
+    A column without a lead is a free unknown; the parametric derivatives
+    of a column with a lead form cones of dimension below n.  So
+    cols(A) - rk A counts the arbitrary functions of all n variables, the
+    leading coefficient of Kolchin's differential dimension polynomial
+    (Seiler, Involution, 2010).  Equals rk ad(A).
     """
-    order = order or DEFAULT_ORDER
-    session = session or Session(A.field)
-    if A.rows == 0 or A.cols == 0 or A.is_zero:
+    if A.cols == 0:
         return 0
-    if _depth > A.field.n + 2:
-        raise ResourceLimit("rank recursion exceeded the resolution bound")
-    cc = compatibility_conditions(A, order=order, session=session)
-    if cc.rows == 0:
-        return A.rows
-    return A.rows - differential_rank(cc, order=order, session=session,
-                                      _depth=_depth + 1)
+    return len(complete(A, order, session)._leads())

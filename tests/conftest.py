@@ -57,6 +57,21 @@ def flat_conformal_source(n):
                         f"d{i}(xi{i}) - d{n}(xi{n})" if i < n else "")
 
 
+# (name, assume) of the 16 corpus problems: every system, and both cases of
+# the split parameter of oneform_area_lie.
+CORPUS_PROBLEMS = [
+    pytest.param(name, assume, id="-".join([name, *assume]))
+    for name in CORPUS_NAMES
+    for assume in ((("c!=0",), ("c=0",)) if name == "oneform_area_lie"
+                   else ((),))]
+
+
+def load_corpus_problem(name, assume=()):
+    """The Problem (field, matrix, session, order, ...) of a corpus system
+    under --assume style items."""
+    return load_problem(load_corpus_system(name), list(assume))
+
+
 def corpus_session(field, matrix, meta, extra=()):
     """Session of a corpus system, extra being --assume style items."""
     return load_problem((field, matrix, meta), extra).session

@@ -28,6 +28,25 @@ def test_summary_counts_wins_in_each_direction_and_ties_for_neither():
     assert entry["change_wins"] == {"wall_s": 2, "rate": 2}
 
 
+def test_first_run_wins_count_the_pairs_the_first_run_read_better():
+    """Pair i runs the parent first when i is even and the change first
+    when i is odd; a side that always reads faster wins half the pairs as
+    the first run, and a first run that always reads faster wins all."""
+    assert [bench_pairs.first_side(i) for i in range(4)] == \
+        ["parent", "change", "parent", "change"]
+    steady = bench_pairs.summarize([_run(2.0, 1.0)] * 4, [_run(1.0, 2.0)] * 4,
+                                   BETTER)
+    assert steady["change_wins"] == {"wall_s": 4, "rate": 4}
+    assert steady["first_run_wins"] == {"wall_s": 2, "rate": 2}
+    # the first run of each pair reads 1.0 s and 3/s, the second 2.0 s and
+    # 2/s, except for a tie at 3/s in the last pair
+    parent = [_run(1.0, 3.0), _run(2.0, 2.0), _run(1.0, 3.0), _run(2.0, 3.0)]
+    change = [_run(2.0, 2.0), _run(1.0, 3.0), _run(2.0, 2.0), _run(1.0, 3.0)]
+    biased = bench_pairs.summarize(parent, change, BETTER)
+    assert biased["change_wins"] == {"wall_s": 2, "rate": 1}
+    assert biased["first_run_wins"] == {"wall_s": 4, "rate": 3}
+
+
 def test_summary_medians_quartiles_and_ratios():
     parent = [_run(v, 1.0, sha="p", lines=90) for v in (4.0, 1.0, 3.0, 2.0, 5.0)]
     change = [_run(v, 1.0, attempted=20, failed=1) for v in (1.0,) * 5]

@@ -5,13 +5,13 @@ import pytest
 import sympy as sp
 
 from diffmod import janet
-from diffmod.dsl import load_problem
 from diffmod.field import DiffField, ResourceLimit, Session
 from diffmod.janet import (InvolutiveBasis, board_of_matrix, complete,
                            count_parametric, janet_board)
 from diffmod.ops import (DEFAULT_ORDER, OpMatrix, ScalarOp, TermOrder,
                          mono_le, mono_sub)
-from conftest import (CORPUS_NAMES, corpus_session, load_corpus_system,
+from conftest import (CORPUS_NAMES, CORPUS_PROBLEMS, corpus_session,
+                      load_corpus_problem, load_corpus_system,
                       random_constant_system, random_matrix)
 
 
@@ -254,12 +254,9 @@ def test_one_pass_step_matches_composition():
 def _problems(seeds):
     """(label, matrix, order, session) of every corpus problem, both cases
     of the split parameter of oneform_area_lie, and the seeded systems."""
-    for name in CORPUS_NAMES:
-        system = load_corpus_system(name)
-        for assume in ((["c!=0"], ["c=0"]) if name == "oneform_area_lie"
-                       else ([],)):
-            p = load_problem(system, assume)
-            yield f"{name} {assume}", p.matrix, p.order, p.session
+    for name, assume in (param.values for param in CORPUS_PROBLEMS):
+        p = load_corpus_problem(name, assume)
+        yield f"{name} {list(assume)}", p.matrix, p.order, p.session
     for seed in seeds:
         A = random_constant_system(seed)
         yield f"seed {seed}", A, DEFAULT_ORDER, Session(A.field)
@@ -329,7 +326,7 @@ def test_resumed_reduction_equals_a_full_rescan():
                 for seed in range(20)
                 for A in [random_constant_system(seed)]]
     for name in ("contact_pfaffian", "unimodular_oneform"):
-        p = load_problem(load_corpus_system(name))
+        p = load_corpus_problem(name)
         problems.append((name, p.matrix, p.order, p.session))
     compared = steps = 0
     for label, A, order, session in problems:

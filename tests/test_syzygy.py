@@ -3,15 +3,16 @@ import sympy as sp
 
 from diffmod import syzygy
 from diffmod.dsl import elaborate, parse_system
-from diffmod.field import DiffField
+from diffmod.field import DiffField, Session
 from diffmod.janet import complete
-from diffmod.ops import DEFAULT_ORDER, OpMatrix, ScalarOp
+from diffmod.ops import DEFAULT_ORDER, OpMatrix, ScalarOp, TermOrder
 from diffmod.spencer import classical_dims
 from diffmod.syzygy import (build_sequence, compatibility_conditions,
                             differential_rank)
-from conftest import (CORPUS_NAMES, corpus_session, flat_conformal_source,
-                      flat_killing_source, load_corpus_system, random_matrix,
-                      random_poly)
+from conftest import (CORPUS_NAMES, CORPUS_PROBLEMS, corpus_session,
+                      flat_conformal_source, flat_killing_source,
+                      load_corpus_problem, load_corpus_system,
+                      random_constant_system, random_matrix, random_poly)
 
 
 F = DiffField(2)
@@ -169,11 +170,59 @@ def test_cc_rows_are_monic_across_corpus(name):
         assert cc.entries[i][j].terms[mu].is_one, cc.row_string(i)
 
 
-def test_alternating_rank_bookkeeping():
-    """rk M = alternating sum over a finite free resolution."""
-    field, matrix, meta = load_corpus_system("unimodular_flat")
-    seq = build_sequence(matrix)
-    rk_m = matrix.cols - differential_rank(matrix)
+def _chain_rank(A, order, session):
+    """rows(A) - rank CC(A), recursing through compatibility_conditions:
+    the rank by the syzygy chain, apart from the lead count it checks."""
+    if A.rows == 0 or A.cols == 0 or A.is_zero:
+        return 0
+    cc = compatibility_conditions(A, order=order, session=session)
+    return A.rows - _chain_rank(cc, order, session)
+
+
+@pytest.mark.parametrize("name, assume", CORPUS_PROBLEMS)
+def test_lead_count_rank_is_the_chain_rank_across_corpus(name, assume):
+    p = load_corpus_problem(name, assume)
+    for X in (p.matrix, p.matrix.adjoint()):
+        assert (differential_rank(X, p.order, p.session.copy())
+                == _chain_rank(X, p.order, p.session.copy()))
+
+
+@pytest.mark.parametrize("order", [DEFAULT_ORDER, TermOrder(kind="lex")],
+                         ids=["degrevlex", "lex"])
+def test_lead_count_rank_is_the_chain_rank_on_seeded_systems(order):
+    for seed in range(50):
+        A = random_constant_system(seed)
+        for X in (A, A.adjoint()):
+            assert (differential_rank(X, order)
+                    == _chain_rank(X, order, Session(X.field))), seed
+
+
+def test_rank_takes_one_completion_and_no_cc(monkeypatch):
+    calls = []
+    real = syzygy.complete
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].rows)
+        return real(*args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("differential_rank computed a CC")
+
+    monkeypatch.setattr(syzygy, "complete", counted)
+    monkeypatch.setattr(syzygy, "_cc_and_completion", refused)
+    _, matrix, _ = load_corpus_system("unimodular_oneform")
+    assert differential_rank(matrix) == 3
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name, assume", CORPUS_PROBLEMS)
+def test_alternating_rank_bookkeeping(name, assume):
+    """rk M = alternating sum over a finite free resolution (the Euler
+    characteristic of the sequence)."""
+    p = load_corpus_problem(name, assume)
+    seq = build_sequence(p.matrix, order=p.order, session=p.session.copy())
+    rk_m = p.matrix.cols - differential_rank(p.matrix, p.order,
+                                             p.session.copy())
     assert rk_m == seq.alternating_rank_sum()
 
 
@@ -255,3 +304,13 @@ def test_conformal_sequence_matches_the_spencer_table(n):
     [3, 5, 5, 3] with orders [1, 3, 1] for n = 3, and [4, 9, 10, 9, 4]
     with orders [1, 2, 2, 1] for n = 4."""
     _assert_sequence_matches_the_table(_flat_conformal(n), "conformal", n)
+
+
+@pytest.mark.parametrize("family", ["killing", "conformal"])
+def test_rank_of_the_n6_families(family):
+    """Rank 6 of the flat n = 6 operators and of their adjoints, from one
+    completion each; the CC chain of conformal n = 6 ends in a
+    ResourceLimit."""
+    A = {"killing": _flat_killing, "conformal": _flat_conformal}[family](6)
+    assert differential_rank(A) == 6
+    assert differential_rank(A.adjoint()) == 6
