@@ -10,9 +10,9 @@ from diffmod.janet import (InvolutiveBasis, board_of_matrix, complete,
                            count_parametric, janet_board)
 from diffmod.ops import (DEFAULT_ORDER, OpMatrix, ScalarOp, TermOrder,
                          mono_le, mono_sub)
-from conftest import (CORPUS_NAMES, CORPUS_PROBLEMS, corpus_session,
-                      load_corpus_problem, load_corpus_system,
-                      random_constant_system, random_matrix)
+from conftest import (CORPUS_PROBLEMS, corpus_session, load_corpus_problem,
+                      load_corpus_system, random_constant_system,
+                      random_matrix)
 
 
 F = DiffField(2)
