@@ -170,9 +170,9 @@ def adjoint_payload(problem, args):
 
 def rank_payload(problem, args):
     value = differential_rank(problem.matrix, order=problem.order,
-                              session=problem.session.copy())
+                              session=problem.session)
     ad_value = differential_rank(problem.matrix.adjoint(), order=problem.order,
-                                 session=problem.session.copy())
+                                 session=problem.session)
     return {"rank": value, "adjoint_rank": ad_value,
             "equal": value == ad_value}
 

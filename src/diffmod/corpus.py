@@ -137,11 +137,11 @@ def run_case(name, directory=None):
                 need("terminated", seq.terminated)
             elif op == "rank":
                 value = differential_rank(matrix, order=order,
-                                          session=session.copy())
+                                          session=session)
                 need("value", value)
                 if expect.get("adjoint_equal"):
                     other = differential_rank(matrix.adjoint(), order=order,
-                                              session=session.copy())
+                                              session=session)
                     if other != value:
                         details.append(f"rank {value} != adjoint rank {other}")
             elif op == "duality":

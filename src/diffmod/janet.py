@@ -326,11 +326,21 @@ class InvolutiveBasis:
 
     # -- completion -------------------------------------------------------
 
-    def add(self, A):
+    def add(self, A, lead_columns=None):
         """Add the rows of A and complete in place.
 
         Each call has its own budget of MAX_STEPS reductions, and
         prolongations stop at order 2q + 6, q the highest order added.
+
+        With lead_columns set, add returns right after the insertion that
+        brings the number of columns holding a lead to that value.  A
+        column never loses its lead: an insertion displaces only rows of
+        its own column, and the minimality pass, which keeps some lead of
+        every column, is skipped.  So when lead_columns bounds the count
+        of the completed basis (differential_rank passes min(rows, cols)),
+        the lead columns are already final.  The basis left is partial,
+        neither Janet-complete nor minimal, and only its lead columns may
+        be read.
         """
         if self.track_src and A is not self.input:
             raise ValueError("a basis that tracks sources adds only its input")
@@ -376,6 +386,9 @@ class InvolutiveBasis:
                 pending.append((b, None, "displaced"))
             trace.steps.append({"event": "add", "from": origin,
                                 "lead": h.lead(key), "order": lead_ord})
+            # _divisors has one entry per column holding a lead
+            if lead_columns is not None and len(self._divisors) >= lead_columns:
+                return
         self._keep_minimal()
 
     def _keep_minimal(self):
@@ -433,7 +446,8 @@ class InvolutiveBasis:
                 self._rows[idx] = work
 
 
-def complete(A, order=None, session=None, track_src=False):
+def complete(A, order=None, session=None, track_src=False,
+             lead_columns=None):
     """Involutive completion of the row module of A (Janet division).
 
     Returns an InvolutiveBasis whose trace carries the completion steps
@@ -443,13 +457,20 @@ def complete(A, order=None, session=None, track_src=False):
     conditions met on the way, are filled; the basis is the same either
     way, and an untracked completion logs a row that reduces to zero as
     "zero", not "cc".
+
+    lead_columns stops the completion once that many columns hold a lead
+    (see InvolutiveBasis.add) and skips the tail reduction.  The basis
+    returned is then partial, not Janet-complete and not tail-reduced:
+    only its lead columns, basis._leads(), may be read, and its provisos
+    are those of the pivots made before the stop.
     """
     if A.rows and A.cols == 0:
         raise ValueError("cannot complete a matrix with no columns")
     basis = InvolutiveBasis(A, order or DEFAULT_ORDER,
                             session or Session(A.field), track_src)
-    basis.add(A)
-    basis.tail_reduce()
+    basis.add(A, lead_columns)
+    if lead_columns is None:
+        basis.tail_reduce()
     return basis
 
 

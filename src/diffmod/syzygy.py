@@ -187,7 +187,15 @@ def differential_rank(A, order=None, session=None):
     cols(A) - rk A counts the arbitrary functions of all n variables, the
     leading coefficient of Kolchin's differential dimension polynomial
     (Seiler, Involution, 2010).  Equals rk ad(A).
+
+    rk A <= min(rows, cols), and a column that holds a lead keeps one
+    for the rest of the completion, so the completion stops once
+    min(rows, cols) columns hold a lead: the count is final there.  That
+    partial basis is counted and dropped; the session records only the
+    provisos of the pivots made before the stop, and a tracer's per-basis
+    row count (janet.basis_rows) counts its rows.
     """
     if A.cols == 0:
         return 0
-    return len(complete(A, order, session)._leads())
+    basis = complete(A, order, session, lead_columns=min(A.rows, A.cols))
+    return len(basis._leads())

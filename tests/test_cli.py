@@ -48,6 +48,34 @@ def test_rank_and_adjoint(capsys):
     assert report["payload"]["involution_check"]
 
 
+# A and B agree only where c = 1: there the rank drops from 2 to 1.
+RANK_PROVISO_SYSTEM = """system t; vars x1, x2; unknowns u, v; params c;
+A: d1(u) + d2(v) = e1; B: c*d1(u) + d2(v) = e2;
+"""
+
+
+def test_rank_reports_the_provisos_it_relies_on(capsys, tmp_path):
+    path = tmp_path / "t.dms"
+    path.write_text(RANK_PROVISO_SYSTEM)
+    code, report = run_json(capsys, ["rank", str(path)])
+    assert code == 0
+    assert report["payload"]["rank"] == 2
+    assert report["provisos"] == ["c - 1"]
+    code, report = run_json(capsys, ["rank", str(path), "--assume", "c=1"])
+    assert code == 0
+    assert report["payload"] == {"rank": 1, "adjoint_rank": 1, "equal": True}
+    assert report["provisos"] == []
+
+
+def test_corpus_rank_check_reports_its_provisos(tmp_path):
+    (tmp_path / "t.dms").write_text(RANK_PROVISO_SYSTEM)
+    (tmp_path / "t.expected.json").write_text(json.dumps({"checks": [
+        {"op": "rank", "expect": {"value": 2, "adjoint_equal": True}}]}))
+    [result] = run_case("t", tmp_path)
+    assert result.passed, result.details
+    assert result.provisos == ["c - 1"]
+
+
 def test_ext_command_with_assumption(capsys):
     code, report = run_json(capsys, [
         "ext", corpus_path("oneform_area_lie"), "--i", "1",

@@ -1,7 +1,7 @@
 import pytest
 import sympy as sp
 
-from diffmod import syzygy
+from diffmod import janet, syzygy
 from diffmod.dsl import elaborate, parse_system
 from diffmod.field import DiffField, Session
 from diffmod.janet import complete
@@ -213,6 +213,51 @@ def test_rank_takes_one_completion_and_no_cc(monkeypatch):
     _, matrix, _ = load_corpus_system("unimodular_oneform")
     assert differential_rank(matrix) == 3
     assert len(calls) == 1
+
+
+def _steps_and_provisos(monkeypatch, A, session, **kwargs):
+    """(reduction steps, provisos, lead columns) of one completion of A."""
+    steps = []
+    real_tick = janet._Budget.tick
+
+    def counted(self):
+        steps.append(1)
+        real_tick(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(janet._Budget, "tick", counted)
+        basis = complete(A, session=session, **kwargs)
+    names = [A.field.coeff_str(p.expr) for p in session.provisos]
+    return len(steps), names, len(basis._leads())
+
+
+def test_rank_completion_stops_at_min_rows_cols_lead_columns(monkeypatch):
+    """contact_pfaffian_n5: the rank completion of A reaches min(rows,
+    cols) lead columns early and makes fewer reduction steps than the
+    full completion, with the same lead count."""
+    p = load_corpus_problem("contact_pfaffian_n5")
+    A = p.matrix
+    stop = min(A.rows, A.cols)
+    short, _, short_cols = _steps_and_provisos(
+        monkeypatch, A, p.session.copy(), lead_columns=stop)
+    full, _, full_cols = _steps_and_provisos(monkeypatch, A, p.session.copy())
+    assert short < full
+    assert short_cols == full_cols == stop == differential_rank(A)
+
+
+def test_stopped_completion_records_a_subset_of_the_provisos(monkeypatch):
+    """ad A of double_pendulum: the full completion divides by l1 - l2,
+    the stopped one reaches its lead columns before that pivot."""
+    p = load_corpus_problem("double_pendulum")
+    ad = p.matrix.adjoint()
+    _, short, short_cols = _steps_and_provisos(
+        monkeypatch, ad, p.session.copy(),
+        lead_columns=min(ad.rows, ad.cols))
+    _, full, full_cols = _steps_and_provisos(monkeypatch, ad, p.session.copy())
+    assert short == []
+    assert "l1 - l2" in full
+    assert set(short) <= set(full)
+    assert short_cols == full_cols
 
 
 @pytest.mark.parametrize("name, assume", CORPUS_PROBLEMS)
