@@ -21,8 +21,13 @@ FILE collects the workloads of a BENCH_<label>.json:
                    when the order of a pair does not bias it
     median_ratio_change_over_parent
                    per metric, change median / parent median
+    unresolved     the metrics too noisy to judge: the parent's quartile
+                   spread (q3 - q1) exceeds the metric's bound times the
+                   parent median, and not every change run beats every
+                   parent run
 
-Which direction is better comes from CHANGE_DIR/BENCHMARK.json.
+Which direction is better, and each metric's bound, come from
+CHANGE_DIR/BENCHMARK.json.
 """
 
 from __future__ import annotations
@@ -87,18 +92,20 @@ def _side(runs, names):
     return out
 
 
-def summarize(parent_runs, change_runs, better):
+def summarize(parent_runs, change_runs, better, bounds=None):
     """The workload entry of a BENCH file from paired runs.
 
     parent_runs[i] and change_runs[i] form pair i; each is the final JSON
     line of perfbench/run.py with its meta line under "meta".  better maps
-    each end-to-end metric to "lower" or "higher".
+    each end-to-end metric to "lower" or "higher", and bounds maps a
+    metric to its bound, a share of the parent median; a metric without
+    one is never unresolved.
     """
     if len(parent_runs) != len(change_runs) or not parent_runs:
         raise ValueError("need the same nonzero number of runs per side")
     names = list(better)
     parent, change = _side(parent_runs, names), _side(change_runs, names)
-    wins, first_wins, ratios = {}, {}, {}
+    wins, first_wins, ratios, unresolved = {}, {}, {}, []
     for name in names:
         sign = 1 if better[name] == "lower" else -1
         pairs = list(zip(parent[name]["runs"], change[name]["runs"]))
@@ -108,9 +115,16 @@ def summarize(parent_runs, change_runs, better):
         first_wins[name] = sum(1 for a, b in in_run_order if sign * (b - a) > 0)
         base = parent[name]["median"]
         ratios[name] = round(change[name]["median"] / base, 4) if base else None
+        spread = parent[name]["q3"] - parent[name]["q1"]
+        apart = all(sign * (p - c) > 0 for p in parent[name]["runs"]
+                    for c in change[name]["runs"])
+        bound = (bounds or {}).get(name)
+        if bound is not None and spread > bound * abs(base) and not apart:
+            unresolved.append(name)
     return {"pairs": len(parent_runs), "parent": parent, "change": change,
             "change_wins": wins, "first_run_wins": first_wins,
-            "median_ratio_change_over_parent": ratios}
+            "median_ratio_change_over_parent": ratios,
+            "unresolved": unresolved}
 
 
 def parse_args(argv):
@@ -132,6 +146,8 @@ def main(argv):
     args = parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]
+              if "bound" in m}
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = (("parent", "change") if first_side(i) == "parent"
@@ -143,13 +159,14 @@ def main(argv):
             shown = "  ".join(f"{k} {m['value']:.4g}"
                               for k, m in result["metrics"].items())
             print(f"pair {i} {side:6}  {shown}", flush=True)
-    entry = summarize(runs["parent"], runs["change"], better)
+    entry = summarize(runs["parent"], runs["change"], better, bounds)
     doc = (json.loads(args.out.read_text()) if args.out.exists() else {})
     doc.setdefault("workloads", {})[args.workload] = entry
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wins {entry['change_wins']}  "
           f"first-run wins {entry['first_run_wins']}  "
-          f"ratios {entry['median_ratio_change_over_parent']}")
+          f"ratios {entry['median_ratio_change_over_parent']}  "
+          f"unresolved {entry['unresolved']}")
     return 0
 
 

@@ -236,7 +236,8 @@ def cmd_spencer(args):
     from . import spencer
     payload = {}
     if args.diagram:
-        payload["diagram"] = spencer.conformal_diagram_dims(args.n or 5)
+        payload["diagram"] = spencer.conformal_diagram_dims(
+            5 if args.n is None else args.n)
     elif args.family is None or args.n is None:
         raise DiffmodError("spencer needs --family and --n, or --diagram")
     else:

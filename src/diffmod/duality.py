@@ -152,7 +152,7 @@ def annihilator_of(row, presentation, order=None, session=None):
     if syz is None:
         return None
     found = _Row([syz[0]], [-e for e in syz[1:]]).monic(
-        _TermKeys(order, 1).__getitem__, session)
+        _TermKeys(order).__getitem__, session)
     return found.op[0], OpMatrix.from_rows(
         presentation.field, [found.src], presentation.rows,
         col_labels=presentation.row_labels)

@@ -172,12 +172,12 @@ class _Budget:
 class _TermKeys(dict):
     """module_key of each (column, monomial) term, computed once."""
 
-    def __init__(self, order, ncols):
+    def __init__(self, order):
         super().__init__()
-        self.order, self.ncols = order, ncols
+        self.order = order
 
     def __missing__(self, term):
-        key = self[term] = self.order.module_key(term, self.ncols)
+        key = self[term] = self.order.module_key(term)
         return key
 
 
@@ -202,7 +202,7 @@ class InvolutiveBasis:
         self._mult = []                # parallel list of frozensets
         self._divisors = {}            # col -> [(position, lead, nonmult)]
         self._q = 0                    # highest order added
-        self._key = _TermKeys(order, self.ncols).__getitem__
+        self._key = _TermKeys(order).__getitem__
 
     # -- Janet structure -------------------------------------------------
 

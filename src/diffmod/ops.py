@@ -128,12 +128,9 @@ class TermOrder:
             return tuple(mu[v - 1] for v in reversed(seq))
         raise ValueError(f"unknown term order kind {self.kind!r}")
 
-    def col_key(self, col, ncols):
-        return -col
-
-    def module_key(self, term, ncols):
+    def module_key(self, term):
         col, mu = term
-        return (self.mono_key(mu), self.col_key(col, ncols))
+        return (self.mono_key(mu), -col)
 
 
 DEFAULT_ORDER = TermOrder()
@@ -467,7 +464,7 @@ class OpMatrix:
                 terms.append((j, mu))
         if not terms:
             return "0"
-        terms.sort(key=lambda t: order.module_key(t, self.cols), reverse=True)
+        terms.sort(key=order.module_key, reverse=True)
         bits = []
         for j, mu in terms:
             c = self.entries[i][j].terms[mu]

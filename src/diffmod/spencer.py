@@ -15,10 +15,13 @@ each g_l:
     dim H^s(g_l) = C(n, s) dim g_l - rk delta|wedge^s (x) g_l
                                    - rk delta|wedge^{s-1} (x) g_{l+1}.
 
-The Killing and conformal tables come out of one rule on these groups:
-F0 = E, F1 = S_q T* (x) E / g_q, and F_{s-1} = H^s(g_{q+r_s}) for
-s = 2..n, where r_s is the least r giving a nonzero group.  Only the
-contact family, which is not of finite type, keeps a closed form.
+Every count reads its bases off one ladder, `SymbolSpace.ladder`: g_q,
+g_{q+1}, ..., each prolonged once from the level below, up to the first
+zero space.  Both classical symbols come from one first-order rule, and
+the Killing and conformal tables from one rule on these groups: F0 = E,
+F1 = S_q T* (x) E / g_q, and F_{s-1} = H^s(g_{q+r_s}) for s = 2..n, where
+r_s is the least r giving a nonzero group.  Only the contact family,
+which is not of finite type, keeps a closed form.
 """
 
 from __future__ import annotations
@@ -99,10 +102,6 @@ class SymbolSpace:
     q: int
     equations: list
 
-    @property
-    def ambient_dim(self):
-        return self.m * sym_dim(self.n, self.q)
-
     def _coordinates(self):
         """The keys (mu, k) of S_q T* (x) E, and the equations as rows
         over their positions."""
@@ -135,17 +134,15 @@ class SymbolSpace:
             g = SymbolSpace(g.n, g.m, g.q + 1, eqs)
         return g
 
-    def at_level(self, level):
-        """The symbol at symmetric degree `level`.
-
-        Below q the full space S_level (x) E is used, matching the
-        convention that the defining equations only start at order q.
-        """
-        if level < self.q:
-            return SymbolSpace(self.n, self.m, level, [])
-        if level == self.q:
-            return self
-        return self.prolong(level - self.q)
+    def ladder(self, levels):
+        """Bases of g_q, g_{q+1}, ..., g_{q+levels-1}, each level prolonged
+        once from the one below; the list ends early with the first zero
+        space, above which every prolongation is zero too."""
+        g, bases = self, [self.basis()]
+        while len(bases) < levels and bases[-1]:
+            g = g.prolong()
+            bases.append(g.basis())
+        return bases
 
 
 # ---------------------------------------------------------------------------
@@ -176,42 +173,30 @@ def _delta_rank(n, s, basis):
     return rank(rows, len(cols))
 
 
-def _cohomology_dim(n, s, here, above):
-    """dim H^s(g_l) from bases of g_l (`here`) and g_{l+1} (`above`)."""
+def _cohomology_dim(n, s, bases, r):
+    """dim H^s(g_{q+r}) from a ladder g_q, g_{q+1}, ..., zero past its end."""
+    here, above = (bases[i] if i < len(bases) else [] for i in (r, r + 1))
     return (math.comb(n, s) * len(here) - _delta_rank(n, s, here)
             - _delta_rank(n, s - 1, above))
 
 
-def _cycle_dim(g, s, level):
-    """dim of {w in wedge^s (x) g_level : delta w = 0}."""
-    basis = g.at_level(level).basis()
-    return math.comb(g.n, s) * len(basis) - _delta_rank(g.n, s, basis)
-
-
 def delta_cohomology_dim(g, s, r=0):
     """dim H^s(g_{q+r}): kernel minus image at wedge^s (x) g_{q+r}."""
-    level = g.q + r
-    return _cohomology_dim(g.n, s, g.at_level(level).basis(),
-                           g.at_level(level + 1).basis())
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    return _cohomology_dim(g.n, s, g.ladder(r + 2), r)
 
 
 def acyclicity_check(g, k):
     """True iff H^s(g_{q+r}) = 0 for 1 <= s <= k and all needed r.
 
-    Prolongations are checked until the symbol dies (finite type) or a
-    small safety margin past stabilisation is reached.
+    Prolongations are checked until the symbol dies (finite type) or
+    r = n + 2, a small safety margin past stabilisation.
     """
-    r = 0
-    while True:
-        gl = g.at_level(g.q + r)
-        if gl.dim == 0:
-            return True
-        for s in range(1, k + 1):
-            if delta_cohomology_dim(g, s, r) != 0:
-                return False
-        r += 1
-        if r > g.n + 2:
-            return True
+    bases = g.ladder(g.n + 4)
+    return all(_cohomology_dim(g.n, s, bases, r) == 0
+               for r in range(min(len(bases), g.n + 3)) if bases[r]
+               for s in range(1, k + 1))
 
 
 def delta_squared_is_zero(n, m, s, q):
@@ -244,52 +229,38 @@ def _metric(n, metric):
     return om
 
 
+def _first_order_symbol(n, metric, trace_weight):
+    """The equations omega(X e_i, e_j) + omega(e_i, X e_j)
+    = trace_weight omega_ij tr X, i <= j, on X in T* (x) T; the trace of
+    the endomorphism X is metric independent."""
+    om = _metric(n, metric)
+    units = sym_monos(n, 1)
+    eqs = []
+    for i in range(n):
+        for j in range(i, n):
+            row = {}
+            for r in range(n):
+                for key, v in (((units[i], r), om[r][j]),
+                               ((units[j], r), om[i][r]),
+                               ((units[r], r), -trace_weight * om[i][j])):
+                    row[key] = row.get(key, 0) + v
+            eqs.append({k: v for k, v in row.items() if v})
+    return SymbolSpace(n, n, 1, eqs)
+
+
 def killing_symbol(n, metric=None):
     """First-order symbol of the isometry system: omega-antisymmetric maps."""
     if n < 2:
         raise UnsupportedDimension("killing needs n >= 2")
-    om = _metric(n, metric)
-    units = sym_monos(n, 1)
-    eqs = []
-    for i in range(n):
-        for j in range(i, n):
-            row = {}
-            for r in range(n):
-                if om[r][j]:
-                    key = (units[i], r)
-                    row[key] = row.get(key, Fraction(0)) + Fraction(om[r][j])
-                if om[i][r]:
-                    key = (units[j], r)
-                    row[key] = row.get(key, Fraction(0)) + Fraction(om[i][r])
-            eqs.append({k: v for k, v in row.items() if v})
-    return SymbolSpace(n, n, 1, eqs)
+    return _first_order_symbol(n, metric, 0)
 
 
 def conformal_symbol(n, metric=None):
-    """First-order symbol of the conformal system: trace part set free."""
+    """First-order symbol of the conformal system: the Killing equations
+    with the trace part set free (weight 2/n)."""
     if n < 3:
         raise UnsupportedDimension("conformal needs n >= 3")
-    om = _metric(n, metric)
-    units = sym_monos(n, 1)
-    eqs = []
-    for i in range(n):
-        for j in range(i, n):
-            row = {}
-            for r in range(n):
-                if om[r][j]:
-                    key = (units[i], r)
-                    row[key] = row.get(key, Fraction(0)) + Fraction(om[r][j])
-                if om[i][r]:
-                    key = (units[j], r)
-                    row[key] = row.get(key, Fraction(0)) + Fraction(om[i][r])
-            # the trace of the endomorphism is metric independent
-            tr = Fraction(2, n) * Fraction(om[i][j])
-            if tr:
-                for r in range(n):
-                    key = (units[r], r)
-                    row[key] = row.get(key, Fraction(0)) - tr
-            eqs.append({k: v for k, v in row.items() if v})
-    return SymbolSpace(n, n, 1, eqs)
+    return _first_order_symbol(n, metric, Fraction(2, n))
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +278,9 @@ def classical_dims(family, n):
     F1 = S_q T* (x) E / g_q, and F_{s-1} = H^s(g_{q+r_s}) for s = 2..n,
     where r_s is the least r with a nonzero group.  The operator orders
     are q, then q + 1 + r_2, then 1 + r_s - r_{s-1}.  Both symbols are of
-    finite type, so the search over r ends where g_{q+r} = 0.  A table
-    that lacks n + 1 entries or a vanishing alternating sum raises instead
-    of being returned.
+    finite type, so their ladder ends where g_{q+r} = 0, inside its n + 4
+    levels.  A table that lacks n + 1 entries or a vanishing alternating
+    sum raises instead of being returned.
 
     Contact is not of finite type and keeps its combinatorial formula.
     """
@@ -323,16 +294,12 @@ def classical_dims(family, n):
     if family not in symbols:
         raise UnsupportedDimension(f"unknown family {family!r}")
     g = symbols[family](n)
-    bases = []        # g_q, g_{q+1}, ..., ending with the first zero one
-    gl = g
-    while not bases or bases[-1]:
-        bases.append(gl.basis())
-        gl = gl.prolong()
-    dims = [g.m, g.ambient_dim - len(bases[0])]
+    bases = g.ladder(n + 4)
+    dims = [g.m, g.m * sym_dim(n, g.q) - len(bases[0])]
     orders = [g.q]
     for s in range(2, n + 1):
         for r in range(len(bases) - 1):
-            h = _cohomology_dim(n, s, bases[r], bases[r + 1])
+            h = _cohomology_dim(n, s, bases, r)
             if h:
                 break
         else:
@@ -357,13 +324,16 @@ def conformal_diagram_dims(n=5):
     """
     if n < 5:
         raise UnsupportedDimension("the diagram needs n >= 5")
-    g = killing_symbol(n)
-    gh = conformal_symbol(n)
+    gh1, gh2 = conformal_symbol(n).ladder(2)
+    z3_isometry, z3_conformal = (
+        math.comb(n, 3) * len(b) - _delta_rank(n, 3, b)
+        for b in (killing_symbol(n).basis(), gh1))
     return {
-        "z3_isometry": _cycle_dim(g, 3, 1),
-        "z3_conformal": _cycle_dim(gh, 3, 1),
-        "h3_conformal": delta_cohomology_dim(gh, 3, 0),
-        "wedge2_g2hat": math.comb(n, 2) * gh.prolong(1).dim,
+        "z3_isometry": z3_isometry,
+        "z3_conformal": z3_conformal,
+        # H^3 = Z^3 / delta(wedge^2 (x) ghat_2)
+        "h3_conformal": z3_conformal - _delta_rank(n, 2, gh2),
+        "wedge2_g2hat": math.comb(n, 2) * len(gh2),
         # delta(T* x S2 T*) inside wedge^2 x T*: image dimension of delta
         "delta_T_S2": _delta_rank(n, 1, SymbolSpace(n, 1, 2, []).basis()),
         "wedge3": math.comb(n, 3),

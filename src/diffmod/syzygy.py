@@ -131,7 +131,7 @@ def classify_operator(A, basis, order=None):
     order = order or DEFAULT_ORDER
     formally_integrable = not basis.trace.integrability_conditions
     added = {r.lead for r in basis.rows}
-    key = _TermKeys(order, A.cols).__getitem__
+    key = _TermKeys(order).__getitem__
     input_leads = {_Row(A.row(i), None).lead(key) for i in range(A.rows)}
     involutive = added <= input_leads
     return formally_integrable, involutive

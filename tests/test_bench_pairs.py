@@ -61,6 +61,25 @@ def test_summary_medians_quartiles_and_ratios():
     assert entry["change"]["fail_share"] == [0.05] * 5
 
 
+def test_a_metric_whose_parent_spreads_past_its_bound_is_unresolved():
+    """Parent wall_s quartiles 2.0-4.0 around a median of 3.0: a spread of
+    0.67 of the median, past a 0.25 bound, so an overlapping change is
+    unresolved; a change below every parent run is resolved all the same,
+    and a metric without a bound never is unresolved."""
+    parent = [_run(v, 5.0) for v in (4.0, 1.0, 3.0, 2.0, 5.0)]
+    overlapping = [_run(v, 5.0) for v in (2.5, 3.5, 1.5, 2.0, 3.0)]
+    below = [_run(0.5, 5.0)] * 5
+    bounds = {"wall_s": 0.25, "rate": 0.25}
+    assert bench_pairs.summarize(parent, overlapping, BETTER,
+                                 bounds)["unresolved"] == ["wall_s"]
+    assert bench_pairs.summarize(parent, below, BETTER,
+                                 bounds)["unresolved"] == []
+    assert bench_pairs.summarize(parent, overlapping, BETTER,
+                                 {"wall_s": 0.7})["unresolved"] == []
+    assert bench_pairs.summarize(parent, overlapping,
+                                 BETTER)["unresolved"] == []
+
+
 def test_summary_of_one_pair_and_unequal_sides():
     entry = bench_pairs.summarize([_run(2.0, 1.0)], [_run(1.0, 1.0)], BETTER)
     assert entry["parent"]["wall_s"]["q1"] == entry["parent"]["wall_s"]["q3"] == 2.0

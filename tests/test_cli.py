@@ -172,6 +172,26 @@ def test_spencer_bad_input_is_an_error_not_a_traceback(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("n,pinned", [
+    (3, (0, 0, False)), (4, (0, 0, True)), (5, (0, 35, True)),
+    (6, (0, 140, True)),
+])
+def test_spencer_conformal_payload(capsys, n, pinned):
+    code, report = run_json(capsys, ["spencer", "--family", "conformal",
+                                     "--n", str(n)])
+    assert code == 0
+    payload = report["payload"]
+    assert (payload["ghat3_dim"], payload["H3_ghat1"],
+            payload["ghat2_2acyclic"]) == pinned
+
+
+def test_spencer_diagram_n0_is_an_error_not_the_n5_diagram(capsys):
+    assert cli.main(["spencer", "--diagram", "--n", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
 def test_spencer_conformal_n6(capsys):
     code, report = run_json(capsys, ["spencer", "--family", "conformal",
                                      "--n", "6"])

@@ -274,7 +274,7 @@ def test_raw_syzygies_generate_the_annihilator_ideal():
 
 
 def _lead_is_one(P, order):
-    mu = max(P.terms, key=lambda m: order.module_key((0, m), 1))
+    mu = max(P.terms, key=lambda m: order.module_key((0, m)))
     return P.terms[mu] == P.field.ratfunc(1)
 
 

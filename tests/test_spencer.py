@@ -108,6 +108,30 @@ def test_acyclicity_flags():
     assert acyclicity_check(zero, 3)
 
 
+@pytest.mark.parametrize("family,n,s,h", [
+    (conformal_symbol, 3, 2, 5), (conformal_symbol, 3, 3, 3),
+    (conformal_symbol, 4, 3, 9),
+    (killing_symbol, 3, 2, 0), (killing_symbol, 3, 3, 0),
+])
+def test_cohomology_one_prolongation_up(family, n, s, h):
+    assert delta_cohomology_dim(family(n), s, 1) == h
+
+
+def test_cohomology_below_the_symbol_is_refused():
+    with pytest.raises(ValueError):
+        delta_cohomology_dim(killing_symbol(3), 2, -1)
+
+
+def test_acyclicity_of_a_symbol_of_infinite_type():
+    """The second component is left free, so no prolongation vanishes and
+    the check runs to its r <= n + 2 cap."""
+    g = SymbolSpace(2, 2, 2, [{((2, 0), 0): 1}, {((0, 2), 0): 1}])
+    assert all(g.prolong(r).dim for r in range(1, g.n + 4))
+    assert acyclicity_check(g, 1)
+    assert not acyclicity_check(g, 2)
+    assert delta_cohomology_dim(g, 2, 0) == 1
+
+
 def test_classical_tables():
     t = classical_dims("conformal", 4)
     assert t["dims"] == [4, 9, 10, 9, 4]

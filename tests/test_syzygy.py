@@ -166,7 +166,7 @@ def test_cc_rows_are_monic_across_corpus(name):
     cc = compatibility_conditions(matrix, session=sess)
     for i in range(cc.rows):
         terms = [(j, mu) for j, e in enumerate(cc.row(i)) for mu in e.terms]
-        j, mu = max(terms, key=lambda t: DEFAULT_ORDER.module_key(t, cc.cols))
+        j, mu = max(terms, key=DEFAULT_ORDER.module_key)
         assert cc.entries[i][j].terms[mu].is_one, cc.row_string(i)
 
 
