@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .field import DiffmodError, Session
-from .janet import _Row, _TermKeys, complete, count_parametric
+from .janet import complete, count_parametric, lead_term
 from .ops import DEFAULT_ORDER, OpMatrix, ScalarOp
 from .syzygy import (InvalidArgument, compatibility_conditions,
                      differential_rank)
@@ -151,11 +151,13 @@ def annihilator_of(row, presentation, order=None, session=None):
               key=lambda s: s[0].order)
     if syz is None:
         return None
-    found = _Row([syz[0]], [-e for e in syz[1:]]).monic(
-        _TermKeys(order).__getitem__, session)
-    return found.op[0], OpMatrix.from_rows(
-        presentation.field, [found.src], presentation.rows,
-        col_labels=presentation.row_labels)
+    P = syz[0]
+    c = P.terms[lead_term([P], order.module_key)[1]]
+    session.check_pivot(c)
+    inv = c.inverse()
+    return P.scale(inv), OpMatrix.from_rows(
+        presentation.field, [[(-e).scale(inv) for e in syz[1:]]],
+        presentation.rows, col_labels=presentation.row_labels)
 
 
 def torsion_submodule(presentation, order=None, session=None):

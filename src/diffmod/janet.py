@@ -15,16 +15,39 @@ that set survives later insertions and tail reduction, which keep the
 row's lead; a nonmultiplicative prolongation is therefore made once per
 row, not once per basis change (V. P. Gerdt, Yu. A. Blinkov, "Involutive
 bases of polynomial ideals", Math. Comput. Simul. 45, 1998).
+
+A basis reduces its rows over a coefficient ring chosen from the rows it
+has been given.  While every coefficient is a rational constant, D acts
+as a commutative polynomial ring and the rows hold Python ints: the ring
+is ZZ.  Otherwise the rows hold field elements: the ring is K.  There is
+one reduction step, w <- a w - c d^kappa o r with a the lead coefficient
+of the reducer r.  Over K the basis rows are monic, so a = 1.  Over ZZ
+they are primitive; a and c are first divided by their gcd, and the
+content of the result, op and src blocks together, is divided out once
+per step: fraction-free reduction, the degree-0 case of pseudo-division
+(E. H. Bareiss, Math. Comp. 22, 1968; D. Robertz, Formal Algorithmic
+Elimination for PDEs, LNM 2121, 2014).  Rational inputs have their
+denominators cleared on entry, src included.  The first row with a
+coefficient that is not a rational constant moves a basis over ZZ to K,
+each row made monic as at the boundary, and a basis never moves back.
+
+Every step over ZZ is a nonzero constant times the step over K, so both
+rings make the same steps and meet the same leads.  Everything that
+leaves the engine is over K: `rows`, `matrix()`, `src_matrix()`,
+`normal_form` and the trace.  Basis rows and integrability conditions
+come out monic, so they are the rows a reduction over K gives.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from .field import ResourceLimit, Session
-from .ops import (DEFAULT_ORDER, OpMatrix, ScalarOp, mono_le, mono_order,
-                  mono_str, mono_sub)
+from .ops import (DEFAULT_ORDER, OpMatrix, ScalarOp, _compose_into, mono_le,
+                  mono_order, mono_str, mono_sub)
 
 
 def janet_multiplicative(leads, seq):
@@ -69,9 +92,30 @@ def minimal_janet_leads(leads, seq):
     return out
 
 
+def lead_term(op_row, key):
+    """The greatest (column, monomial) term of a row of operators under
+    key, a rank of terms such as a basis's _TermKeys lookup; None for a
+    zero row."""
+    return _lead([e.terms for e in op_row], key)
+
+
+def _lead(block, key):
+    return max(((j, mu) for j, e in enumerate(block) for mu in e),
+               default=None, key=key)
+
+
+def _combine(w, a, c, kappa, r):
+    """a * w + c * d^kappa o r for term dicts w and r."""
+    terms = dict(w) if a == 1 else {mu: a * v for mu, v in w.items()}
+    _compose_into(terms, c, kappa, r)
+    return terms
+
+
 class _Row:
     """Augmented module row: op over the unknowns, src over the inputs.
 
+    Each block is a list of term dicts, derivative monomial to
+    coefficient, the coefficients ints over ZZ and field elements over K.
     prolonged holds the variables the row has been prolonged by as a
     basis row; a new row starts with none.
     """
@@ -88,43 +132,63 @@ class _Row:
         """The greatest (column, monomial) term under key, a rank of terms
         such as a basis's _TermKeys lookup; found once and kept."""
         if self._lead is None:
-            terms = [(j, mu) for j, e in enumerate(self.op) for mu in e.terms]
-            self._lead = max(terms, default=None, key=key)
+            self._lead = _lead(self.op, key)
         return self._lead
 
     @property
     def op_is_zero(self):
-        return all(e.is_zero for e in self.op)
+        return not any(self.op)
 
     @property
     def src_is_zero(self):
-        return self.src is None or all(e.is_zero for e in self.src)
+        return self.src is None or not any(self.src)
 
     def lead_coeff(self, key):
         j, mu = self.lead(key)
-        return self.op[j].terms[mu]
+        return self.op[j][mu]
 
     def lead_order(self, key):
         return mono_order(self.lead(key)[1])
 
-    def monic(self, key, session):
-        """The row divided by its lead coefficient, checked as a pivot."""
-        c = self.lead_coeff(key)
-        session.check_pivot(c)
-        inv = c.inverse()
-        src = None if self.src is None else [e.scale(inv) for e in self.src]
-        return _Row([e.scale(inv) for e in self.op], src)
+    def _map(self, f):
+        """The row with f applied to every term dict; same lead."""
+        row = _Row([f(e) for e in self.op],
+                   None if self.src is None else [f(e) for e in self.src])
+        row._lead = self._lead
+        return row
 
-    def sub_multiple(self, c, kappa, other):
-        """self - c * d^kappa o other, on both blocks, in one pass."""
-        c = -c
-        op = [a.add_composed(c, kappa, b) for a, b in zip(self.op, other.op)]
+    def primitive(self):
+        """Over ZZ: the row divided by the content of both blocks."""
+        g = 0
+        for e in self.op if self.src is None else self.op + self.src:
+            g = math.gcd(g, *e.values())
+            if g == 1:
+                return self
+        if not g:
+            return self
+        return self._map(lambda e: {mu: v // g for mu, v in e.items()})
+
+    def sub_multiple(self, a, c, kappa, other):
+        """a * self - c * d^kappa o other on both blocks, in one pass.
+
+        Over ZZ (c an int) a and c are first divided by gcd(a, c), and the
+        result is made primitive.  Over K a is 1 when other is a basis
+        row, which is monic.
+        """
+        zz = type(c) is int
+        if zz:
+            g = math.gcd(a, c)
+            a, c = a // g, -(c // g)
+        else:
+            a, c = 1 if a.is_one else a, -c
+        op = [_combine(x, a, c, kappa, y) for x, y in zip(self.op, other.op)]
         if self.src is None:
             src = None
         else:
-            src = [a.add_composed(c, kappa, b)
-                   for a, b in zip(self.src, other.src)]
-        return _Row(op, src)
+            src = [_combine(x, a, c, kappa, y)
+                   for x, y in zip(self.src, other.src)]
+        row = _Row(op, src)
+        return row.primitive() if zz else row
 
 
 @dataclass
@@ -187,7 +251,8 @@ class InvolutiveBasis:
     The basis takes its columns and labels from input_matrix.  With
     track_src every row also records itself as a D-combination of the
     input rows, so such a basis adds its input and nothing else; without
-    it the basis can grow by any rows.
+    it the basis can grow by any rows.  A new basis is over ZZ; see the
+    module docstring for the ring of a basis.
     """
 
     def __init__(self, input_matrix, order, session, track_src=False):
@@ -198,11 +263,79 @@ class InvolutiveBasis:
         self.input = input_matrix
         self.track_src = track_src
         self.trace = CompletionTrace()
-        self._rows = []                # list of _Row, monic, with mult vars
+        self._zz = True                # the ring of the rows: ZZ, else K
+        self._rows = []                # list of _Row, with mult vars
         self._mult = []                # parallel list of frozensets
         self._divisors = {}            # col -> [(position, lead, nonmult)]
         self._q = 0                    # highest order added
         self._key = _TermKeys(order).__getitem__
+
+    # -- the ring and the boundary ---------------------------------------
+
+    def _admit(self, op_rows):
+        """Move a basis over ZZ to K when some coefficient of op_rows,
+        lists of operators, is not a rational constant."""
+        if self._zz and any(c._q is None for row in op_rows for e in row
+                            for c in e.terms.values()):
+            self._rows = [self._over_k(r, monic=True) for r in self._rows]
+            self._zz = False
+
+    def _row(self, op, src=None):
+        """Lists of operators as a _Row over the basis's ring, which
+        _admit has chosen: over ZZ each coefficient is multiplied by the
+        lcm of the row's denominators, src included."""
+        op = [e.terms for e in op]
+        src = None if src is None else [e.terms for e in src]
+        if not self._zz:
+            return _Row(op, src)
+        lcm = math.lcm(*(c._q.denominator for e in op + (src or [])
+                         for c in e.values()))
+        return _Row(op, src)._map(lambda e: {
+            mu: c._q.numerator * (lcm // c._q.denominator)
+            for mu, c in e.items()})
+
+    def _over_k(self, row, monic):
+        """row over K.  A row over ZZ becomes field constants, divided by
+        its lead coefficient when monic; a basis row over K is monic."""
+        if not self._zz:
+            return row
+        const = self.field._constant
+        if monic:
+            a = row.lead_coeff(self._key)
+            out = row._map(lambda e: {mu: const(Fraction(v, a))
+                                      for mu, v in e.items()})
+        else:
+            out = row._map(lambda e: {mu: const(v) for mu, v in e.items()})
+        out.prolonged = row.prolonged
+        return out
+
+    def _boundary(self, row, monic):
+        """The op and src blocks of row over K as lists of operators, or
+        None for a src block the row does not have."""
+        row = self._over_k(row, monic)
+        return [[ScalarOp._of(self.field, e) for e in block]
+                if block is not None else None for block in (row.op, row.src)]
+
+    def _basis_row(self, h):
+        """h as a new basis row, prolonged by no variable yet: primitive
+        over ZZ, monic over K, its lead coefficient checked as a pivot."""
+        if self._zz:
+            row = h.primitive()
+        else:
+            c = h.lead_coeff(self._key)
+            self.session.check_pivot(c)
+            inv = c.inverse()
+            row = h._map(lambda e: {mu: v * inv for mu, v in e.items()})
+        row.prolonged = set()
+        return row
+
+    def _prolong(self, r, i):
+        """d_i o r, on the src block too if r has one."""
+        e_i = tuple(int(k == i - 1) for k in range(self.field.n))
+        one = 1 if self._zz else self.field.one
+        return _Row([_combine({}, 1, one, e_i, x) for x in r.op],
+                    None if r.src is None else
+                    [_combine({}, 1, one, e_i, x) for x in r.src])
 
     # -- Janet structure -------------------------------------------------
 
@@ -231,13 +364,14 @@ class InvolutiveBasis:
 
     @property
     def rows(self):
+        """The basis rows over K, monic."""
         seq = self.order.seq(self.field.n)
         out = []
         for r, mult in zip(self._rows, self._mult):
             col, mu = r.lead(self._key)
             cls = next((v for v in reversed(seq) if mu[v - 1]), 0)
-            out.append(JanetRow(list(r.op), None if r.src is None else list(r.src),
-                                (col, mu), mult, cls))
+            out.append(JanetRow(*self._boundary(r, monic=True), (col, mu),
+                                mult, cls))
         return out
 
     def __len__(self):
@@ -248,14 +382,14 @@ class InvolutiveBasis:
         return max((r.lead_order(self._key) for r in self._rows), default=-1)
 
     def matrix(self):
-        ent = [list(r.op) for r in self._rows]
+        ent = [self._boundary(r, monic=True)[0] for r in self._rows]
         return OpMatrix.from_rows(self.field, ent, self.ncols,
                                   col_labels=self.input.col_labels)
 
     def src_matrix(self):
         if not self.track_src:
             return None
-        ent = [list(r.src) for r in self._rows]
+        ent = [self._boundary(r, monic=True)[1] for r in self._rows]
         return OpMatrix.from_rows(self.field, ent, self.input.rows,
                                   col_labels=self.input.row_labels)
 
@@ -272,20 +406,22 @@ class InvolutiveBasis:
         return None
 
     def reduce_row(self, row, budget=None, tail=False):
-        """Full involutive normal form of an augmented row.
+        """Full involutive normal form of an augmented row, in the ring of
+        the basis.
 
         With tail=True the row's own lead term is left alone and only the
         terms below it are reduced.  Each pass looks only below the term
-        the last step reduced: the reducer is monic, so that term cancels,
-        and every term of c * d^kappa o r lies at or below it (the order
-        is compatible with d^kappa and Leibniz terms lower the monomial),
-        so the terms above it are unchanged and already irreducible.
+        the last step reduced: the step a * w - c * d^kappa o r cancels
+        that term, and every term of d^kappa o r lies at or below it (the
+        order is compatible with d^kappa and Leibniz terms lower the
+        monomial), so the terms above it are only scaled by a constant
+        and stay irreducible.
         """
         key = self._key
         top = key(row.lead(key)) if tail else None
         work = row
         while True:
-            terms = [(j, mu) for j, e in enumerate(work.op) for mu in e.terms]
+            terms = [(j, mu) for j, e in enumerate(work.op) for mu in e]
             if top is not None:
                 terms = [t for t in terms if key(t) < top]
             if not terms:
@@ -300,17 +436,23 @@ class InvolutiveBasis:
             if hit is None:
                 break
             (j, mu), (r, kappa) = hit
-            c = work.op[j].terms[mu]
-            work = work.sub_multiple(c, kappa, r)
+            work = work.sub_multiple(r.lead_coeff(key), work.op[j][mu],
+                                     kappa, r)
             top = key((j, mu))
             if budget is not None:
                 budget.tick()
         return work
 
     def normal_form(self, op_row):
-        """Involutive normal form of a plain row, a list of m operators."""
-        row = _Row([ScalarOp.constant(self.field, 0) + e for e in op_row], None)
-        return self.reduce_row(row).op
+        """Involutive normal form of a plain row, a list of m operators.
+
+        Over K it is the row minus a D-combination of basis rows; over ZZ
+        it is that times a nonzero rational constant.  A row with a
+        coefficient that is not a rational constant moves the basis to K.
+        """
+        self._admit([op_row])
+        return self._boundary(self.reduce_row(self._row(op_row)),
+                              monic=False)[0]
 
     def contains(self, op_row):
         return all(e.is_zero for e in self.normal_form(op_row))
@@ -320,9 +462,10 @@ class InvolutiveBasis:
 
     def verify_involutive(self):
         """Janet criterion: every nonmultiplicative prolongation reduces to 0."""
-        return all(self.contains([ScalarOp.d(self.field, i) * e for e in r.op])
-                   for r, mult in zip(self._rows, self._mult)
-                   for i in range(1, self.field.n + 1) if i not in mult)
+        return all(
+            self.reduce_row(self._prolong(_Row(r.op, None), i)).op_is_zero
+            for r, mult in zip(self._rows, self._mult)
+            for i in range(1, self.field.n + 1) if i not in mult)
 
     # -- completion -------------------------------------------------------
 
@@ -347,16 +490,18 @@ class InvolutiveBasis:
         field, key, trace = self.field, self._key, self.trace
         self._q = max(self._q, A.order)
         budget = _Budget(2 * self._q + 6)
+        op_rows = [A.row(i) for i in range(A.rows)]
+        self._admit(op_rows)
         pending = []  # (row, expected order or None, origin)
-        for i in range(A.rows):
+        for i, op in enumerate(op_rows):
             src = ([ScalarOp.constant(field, int(k == i)) for k in range(A.rows)]
                    if self.track_src else None)
-            row = _Row(A.row(i), src)
+            row = self._row(op, src)
             origin = f"input {A.row_labels[i]}"
             if not row.op_is_zero:
                 pending.append((row, None, origin))
             elif not row.src_is_zero:
-                trace.cc_rows.append(row.src)
+                trace.cc_rows.append(self._boundary(row, monic=False)[1])
                 trace.steps.append({"event": "cc", "from": origin})
         while True:
             if not pending:
@@ -369,17 +514,17 @@ class InvolutiveBasis:
             h = self.reduce_row(row, budget)
             if h.op_is_zero:
                 if not h.src_is_zero:
-                    trace.cc_rows.append(h.src)
+                    trace.cc_rows.append(self._boundary(h, monic=False)[1])
                     trace.steps.append({"event": "cc", "from": origin})
                 else:
                     trace.steps.append({"event": "zero", "from": origin})
                 continue
             lead_ord = h.lead_order(key)
-            h = h.monic(key, self.session)
+            h = self._basis_row(h)
             if expected is not None and lead_ord < expected:
-                trace.integrability_conditions.append(
-                    OpMatrix.from_rows(field, [list(h.op)], self.ncols,
-                                       col_labels=self.input.col_labels))
+                trace.integrability_conditions.append(OpMatrix.from_rows(
+                    field, [self._boundary(h, monic=True)[0]], self.ncols,
+                    col_labels=self.input.col_labels))
                 trace.steps.append({"event": "integrability", "from": origin,
                                     "order": lead_ord})
             for b in self._insert(h):
@@ -423,10 +568,7 @@ class InvolutiveBasis:
                     continue
                 r.prolonged.add(i)
                 budget.check_order(r.lead_order(self._key) + 1)
-                di = ScalarOp.d(self.field, i)
-                prol = _Row([di * e for e in r.op],
-                            None if r.src is None else [di * e for e in r.src])
-                return (prol, r.lead_order(self._key) + 1,
+                return (self._prolong(r, i), r.lead_order(self._key) + 1,
                         f"d{i} prolongation")
         return None
 
@@ -435,7 +577,8 @@ class InvolutiveBasis:
 
         A row can never reduce its own tail (tail terms are smaller than
         its lead), so the full Janet assignment is safe to use throughout;
-        leads are untouched and one pass per row suffices.
+        leads are untouched and one pass per row suffices.  Over ZZ a
+        reduced row keeps its lead but not its lead coefficient.
         """
         budget = _Budget(2 * self._q + 6)
         for idx, r in enumerate(list(self._rows)):
@@ -457,6 +600,13 @@ def complete(A, order=None, session=None, track_src=False,
     conditions met on the way, are filled; the basis is the same either
     way, and an untracked completion logs a row that reduces to zero as
     "zero", not "cc".
+
+    The basis reduces over ZZ when every coefficient of A is a rational
+    constant and over K otherwise (see the module docstring); its rows,
+    matrices and integrability conditions are the same over either ring.
+    A raw row of trace.cc_rows met over ZZ is the one met over K times a
+    nonzero rational constant, its own for each row; every consumer of
+    the raw rows reads them up to such a factor.
 
     lead_columns stops the completion once that many columns hold a lead
     (see InvolutiveBasis.add) and skips the tail reduction.  The basis
@@ -497,10 +647,12 @@ def board_of_matrix(A, order=None, session=None):
     order = order or DEFAULT_ORDER
     session = session or Session(A.field)
     basis = InvolutiveBasis(A, order, session)
-    for i in range(A.rows):
-        r = _Row(A.row(i), None)
+    op_rows = [A.row(i) for i in range(A.rows)]
+    basis._admit(op_rows)
+    for op in op_rows:
+        r = basis._row(op)
         if not r.op_is_zero:
-            basis._rows.append(r.monic(basis._key, session))
+            basis._rows.append(basis._basis_row(r))
     basis._assign_mult()
     return janet_board(basis)
 

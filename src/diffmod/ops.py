@@ -2,9 +2,11 @@
 
 Scalar operators store their coefficients to the LEFT of the derivative
 monomials; products commute the d_i past coefficients with the Leibniz
-rule d_i a = a d_i + da/dx_i.  Every coefficient is a field element, one
-cancelled fraction (see field.py); a rational constant is held as a
-reduced Fraction until its polynomials are needed.  Matrices over D
+rule d_i a = a d_i + da/dx_i.  Every coefficient of an operator is a field
+element, one cancelled fraction (see field.py); a rational constant is
+held as a reduced Fraction until its polynomials are needed.  The Leibniz
+kernel `_compose_into` also takes plain term dicts with int coefficients,
+the rows the Janet engine reduces over ZZ (see janet.py).  Matrices over D
 represent operators between free modules, with the formal adjoint and
 composition used by every duality computation downstream.
 """
@@ -12,6 +14,7 @@ composition used by every duality computation downstream.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 
@@ -19,13 +22,13 @@ from dataclasses import dataclass
 # multi-indices
 
 def mono_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 def mono_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 def mono_le(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 def mono_order(a):
     return sum(a)
@@ -59,8 +62,8 @@ def _add_into(terms, key, c):
 
 
 def _compose_into(terms, coeff, mu, other):
-    """terms += coeff * d^mu o other, by the Leibniz rule
-    d^mu o b = sum over kappa <= mu of binom(mu, kappa) d^kappa(b) d^(mu-kappa).
+    """terms += coeff * d^mu o other, other a dict of terms, by the Leibniz
+    rule d^mu o b = sum over kappa <= mu of binom(mu, kappa) d^kappa(b) d^(mu-kappa).
 
     The Leibniz terms are summed per monomial first, so coeff multiplies
     each sum once: with fractional coefficients the products are what
@@ -70,10 +73,21 @@ def _compose_into(terms, coeff, mu, other):
     free of x only kappa = 0 is visited.  A rational constant b (_q set)
     has no derivatives at all, so its one Leibniz term, binomial 1, goes
     straight into terms as b * coeff, with no branch or per-monomial sum.
+    An int coeff means that every coefficient is an int (a row reduced
+    over ZZ, see janet.py): all constants, each added the same way.
     """
+    if type(coeff) is int:
+        for nu, b in other.items():
+            key = mono_add(mu, nu)
+            s = terms.get(key, 0) + b * coeff
+            if s:
+                terms[key] = s
+            else:
+                del terms[key]
+        return
     n = len(mu)
     acc = {}
-    for nu, b in other.terms.items():
+    for nu, b in other.items():
         if b._q is not None:
             _add_into(terms, mono_add(mu, nu), b * coeff)
             continue
@@ -224,20 +238,12 @@ class ScalarOp:
         return ScalarOp._of(self.field,
                             {mu: v * c for mu, v in self.terms.items()})
 
-    def add_composed(self, coeff, kappa, other):
-        """self + coeff * d^kappa o other in one pass: the Leibniz terms
-        go straight into a copy of self's terms, with no operator built
-        for coeff * d^kappa, its product or its negation."""
-        terms = dict(self.terms)
-        _compose_into(terms, coeff, kappa, other)
-        return ScalarOp._of(self.field, terms)
-
     def __mul__(self, other):
         """Composition self o other in the operator sense."""
         other = self._coerce(other)
         total = {}
         for mu, a in self.terms.items():
-            _compose_into(total, a, mu, other)
+            _compose_into(total, a, mu, other.terms)
         return ScalarOp._of(self.field, total)
 
     def __rmul__(self, other):

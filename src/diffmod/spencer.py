@@ -199,21 +199,6 @@ def acyclicity_check(g, k):
                for s in range(1, k + 1))
 
 
-def delta_squared_is_zero(n, m, s, q):
-    """Exact check that the composite of two delta maps vanishes.
-
-    delta leaves the E factor alone, so its rank m plays no part."""
-    for I in wedge_sets(n, s):
-        for mu in sym_monos(n, q):
-            acc = {}
-            for sign, J, nu in _delta(I, mu):
-                for sign2, K, rho in _delta(J, nu):
-                    acc[(K, rho)] = acc.get((K, rho), 0) + sign * sign2
-            if any(acc.values()):
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # classical symbol families (flat nondegenerate metric)
 

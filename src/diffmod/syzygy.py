@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .field import DiffmodError, ResourceLimit, Session
-from .janet import InvolutiveBasis, _Row, _TermKeys, complete
+from .janet import InvolutiveBasis, _TermKeys, complete, lead_term
 from .ops import DEFAULT_ORDER, OpMatrix
 
 
@@ -33,7 +33,7 @@ def _minimalize(field, rows, ncols, order, session, labels):
     kept = InvolutiveBasis(OpMatrix.zero(field, 0, ncols, col_labels=labels),
                            order, session)
     key = kept._key
-    mats.sort(key=lambda m: (m.order, key(_Row(m.row(0), None).lead(key))))
+    mats.sort(key=lambda m: (m.order, key(lead_term(m.row(0), key))))
     kept_rows = []
     for m in mats:
         if kept.contains(m.row(0)):
@@ -79,7 +79,7 @@ def _cc_and_completion(A, order, session):
     raw_matrix = OpMatrix.from_rows(field, raw, A.rows, col_labels=A.row_labels)
     syz_basis = complete(raw_matrix, order=order, session=session,
                          track_src=False)
-    candidates = [list(r.op) for r in syz_basis._rows]
+    candidates = [r.op for r in syz_basis.rows]
     kept = _minimalize(field, candidates, A.rows, order, session, A.row_labels)
     labels = [f"z{i+1}" for i in range(len(kept))]
     return OpMatrix.from_rows(field, kept, A.rows, row_labels=labels,
@@ -132,7 +132,7 @@ def classify_operator(A, basis, order=None):
     formally_integrable = not basis.trace.integrability_conditions
     added = {r.lead for r in basis.rows}
     key = _TermKeys(order).__getitem__
-    input_leads = {_Row(A.row(i), None).lead(key) for i in range(A.rows)}
+    input_leads = {lead_term(A.row(i), key) for i in range(A.rows)}
     involutive = added <= input_leads
     return formally_integrable, involutive
 

@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -287,3 +290,38 @@ def test_assumption_dividing_by_a_parameter_is_refused(capsys, tmp_path):
     assert cli.main(["rank", str(src)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "1/c" in err
+
+
+
+def _cli_sweep():
+    """scripts/cli_sweep.py as a module."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "cli_sweep.py"
+    spec = importlib.util.spec_from_file_location("cli_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("args, code", [
+    (["rank", "src/diffmod/corpus/unexpected_cc_pair.dms"], 0),
+    (["spencer", "--family", "killing"], 1),
+    (["ext", "--i", "1"], 2),
+])
+def test_cli_sweep_in_process_run_matches_a_process_run(args, code,
+                                                        monkeypatch):
+    """The sweep's in-process run of cli.main gives the exit status,
+    standard output and standard error of `python -m diffmod.cli`: on a
+    success, on a refused `spencer` input and on an argparse error."""
+    sweep = _cli_sweep()
+    monkeypatch.chdir(sweep.ROOT)
+    env = dict(os.environ, PYTHONHASHSEED="0",
+               PYTHONPATH=str(sweep.ROOT / "src"))
+
+    def untimed(run):
+        status, out, err = run
+        return status, [line for line in out.splitlines()
+                        if '"elapsed_ms":' not in line], err
+
+    got = untimed(sweep.run_in_process(args))
+    assert got == untimed(sweep.run_process(args, env))
+    assert got[0] == code

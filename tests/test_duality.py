@@ -364,3 +364,31 @@ def test_missing_integrability_condition_of_adjoint_chain():
     assert basis.trace.integrability_conditions
     missing = [d1.scale(half), d1.scale(half * x3) + d2, d3]
     assert basis.contains(missing)
+
+
+def test_annihilator_of_a_free_element_is_none():
+    """In D^2 / (d1 y1) the class of y2 is free, so no P kills it."""
+    F = DiffField(2)
+    A = OpMatrix(F, [[ScalarOp.d(F, 1), ScalarOp.zero(F)]])
+    row = OpMatrix(F, [[ScalarOp.zero(F), ScalarOp.constant(F, 1)]])
+    assert duality.annihilator_of(row, A) is None
+
+
+def test_ext_needs_a_long_enough_resolution():
+    """ext^1 of a sequence cut before it terminated is refused."""
+    F = DiffField(2)
+    grad = OpMatrix(F, [[ScalarOp.d(F, 1)], [ScalarOp.d(F, 2)]])
+    seq = build_sequence(grad, max_steps=1)
+    with pytest.raises(DiffmodError, match="resolution too short"):
+        ext_module(seq, 1)
+
+
+def test_ext_refuses_a_chain_whose_shapes_do_not_match():
+    """ops[1] must have as many columns as ops[0] has rows."""
+    F = DiffField(2)
+    A = OpMatrix(F, [[ScalarOp.d(F, 1)]])
+    B = OpMatrix(F, [[ScalarOp.d(F, 1), ScalarOp.d(F, 2)]])
+    seq = DiffSequence(field=F, ops=[A, B], orders=[1, 1],
+                       strictly_exact=True, involutive=True, terminated=True)
+    with pytest.raises(DiffmodError, match="chain shapes do not match"):
+        ext_module(seq, 1)

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 import sympy as sp
@@ -218,8 +220,8 @@ def test_a_basis_with_sources_adds_only_its_input():
 
 
 def test_one_pass_step_matches_composition():
-    """_Row.sub_multiple(c, kappa, b) is a - (c d^kappa) o b on the op and
-    the src block.  Under d1^3 d2 the coefficient x1**2 of b keeps its
+    """_Row.sub_multiple(1, c, kappa, b) is a - (c d^kappa) o b on the op
+    and the src block.  Under d1^3 d2 the coefficient x1**2 of b keeps its
     derivatives in x1 up to the second and loses the rest; the jet
     coefficients and 1/x2 keep all of theirs."""
     G = DiffField(2, func_params=["a"])
@@ -229,26 +231,58 @@ def test_one_pass_step_matches_composition():
     def op(*terms):
         return ScalarOp(G, dict(terms))
 
-    b = janet._Row([op(((0, 0), "x1**2"), ((1, 0), a)),
-                    op(((0, 1), da), ((0, 0), 3))],
-                   [op(((0, 0), "1/x2")), op(((1, 1), "x1*x2"))])
-    row = janet._Row([op(((3, 1), 1), ((0, 0), "x2")), op(((2, 0), a))],
-                     [op(((0, 0), 1)), ScalarOp.zero(G)])
+    def row_of(op_block, src_block):
+        return janet._Row([e.terms for e in op_block],
+                          [e.terms for e in src_block])
+
+    b_op = [op(((0, 0), "x1**2"), ((1, 0), a)), op(((0, 1), da), ((0, 0), 3))]
+    b_src = [op(((0, 0), "1/x2")), op(((1, 1), "x1*x2"))]
+    row_op = [op(((3, 1), 1), ((0, 0), "x2")), op(((2, 0), a))]
+    row_src = [op(((0, 0), 1)), ScalarOp.zero(G)]
+    b, row = row_of(b_op, b_src), row_of(row_op, row_src)
     section = [G.ratfunc("x1**5*x2**2 + x2**3"), G.ratfunc("x1**4*x2 + a")]
     for c, kappa in ((G.ratfunc("x1"), (3, 1)), (da, (1, 0)),
                      (G.ratfunc(-2), (0, 0)), (G.ratfunc("x2/x1"), (0, 2))):
         mono = ScalarOp.monomial(G, kappa, c)
-        got = row.sub_multiple(c, kappa, b)
-        for block, left, right in ((got.op, row.op, b.op),
-                                   (got.src, row.src, b.src)):
+        got = row.sub_multiple(G.one, c, kappa, b)
+        for block, left, right in ((got.op, row_op, b_op),
+                                   (got.src, row_src, b_src)):
             want = [x - mono * y for x, y in zip(left, right)]
-            assert [e.terms for e in block] == [e.terms for e in want]
+            assert block == [e.terms for e in want]
             # and as operators acting on a section: a(f) - c d^kappa(b(f))
-            acted = OpMatrix(G, [block]).apply_to_section(section)[0]
+            acted = OpMatrix(G, [[ScalarOp(G, e) for e in block]]
+                             ).apply_to_section(section)[0]
             expect = (OpMatrix(G, [left]).apply_to_section(section)[0]
                       - mono.apply(OpMatrix(G, [right])
                                    .apply_to_section(section)[0]))
             assert acted == expect
+
+
+def test_integer_step_is_a_multiple_of_the_field_step():
+    """Over ZZ, sub_multiple(a, c, kappa, b), a the lead coefficient of b,
+    is a w - c d^kappa o b divided by a positive integer: a nonzero
+    constant times the step w - (c / a) d^kappa o b over K, with coprime
+    coefficients over both blocks."""
+    b = janet._Row([{(1, 0): 6, (0, 1): -4}, {(0, 0): 10}], [{(0, 0): 2}, {}])
+    w = janet._Row([{(2, 1): 9, (1, 1): 3}, {(1, 0): 15}], [{}, {(1, 1): 6}])
+    a = 6
+    for c, kappa in ((9, (1, 1)), (3, (0, 0)), (-15, (1, 0)), (7, (0, 2))):
+        got = w.sub_multiple(a, c, kappa, b)
+        coeffs = [v for e in got.op + got.src for v in e.values()]
+        assert math.gcd(*coeffs) == 1
+        scale = set()
+        for block, left, right in ((got.op, w.op, b.op),
+                                   (got.src, w.src, b.src)):
+            want = [dict(x) for x in left]
+            for x, y in zip(want, right):
+                for mu, v in y.items():
+                    nu = tuple(p + q for p, q in zip(mu, kappa))
+                    x[nu] = x.get(nu, 0) - Fraction(c, a) * v
+            assert [set(e) for e in block] == \
+                [{mu for mu, v in x.items() if v} for x in want]
+            scale |= {Fraction(v) / want_e[mu] for got_e, want_e
+                      in zip(block, want) for mu, v in got_e.items()}
+        assert len(scale) == 1 and 0 not in scale
 
 
 def _problems(seeds):
@@ -303,7 +337,7 @@ def _rescanned_normal_form(basis, row, budget, tail=False):
     work = row
     while True:
         terms = sorted((t for t in ((j, mu) for j, e in enumerate(work.op)
-                                    for mu in e.terms) if t != skip),
+                                    for mu in e) if t != skip),
                        key=key, reverse=True)
         hit = next(((t, found) for t in terms
                     if (found := _linear_reducer(basis, t)) is not None),
@@ -311,7 +345,7 @@ def _rescanned_normal_form(basis, row, budget, tail=False):
         if hit is None:
             return work
         (j, mu), (r, kappa) = hit
-        work = work.sub_multiple(work.op[j].terms[mu], kappa, r)
+        work = work.sub_multiple(r.lead_coeff(key), work.op[j][mu], kappa, r)
         budget.tick()
 
 
@@ -348,7 +382,7 @@ def test_resumed_reduction_equals_a_full_rescan():
                 d = ScalarOp.monomial(field, mu, c)
                 op = [a + d * e for a, e in zip(op, A.row(i))]
                 src[i] = src[i] + d
-            rows.append(janet._Row(op, src))
+            rows.append(basis._row(op, src))
         for stage in ("completed", "tail reduced"):
             if stage == "tail reduced":
                 basis.tail_reduce()
@@ -360,10 +394,116 @@ def test_resumed_reduction_equals_a_full_rescan():
                 want = _rescanned_normal_form(basis, row, slow, tail=tail)
                 where = f"{label}, {stage}, tail={tail}"
                 assert fast.steps == slow.steps, where
-                assert [e.terms for e in got.op] == \
-                    [e.terms for e in want.op], where
-                assert [e.terms for e in got.src] == \
-                    [e.terms for e in want.src], where
+                assert got.op == want.op, where
+                assert got.src == want.src, where
                 compared += 1
                 steps += fast.steps
     assert compared > 500 and steps > compared
+
+
+def _left_scaled(A, factors):
+    """diag(factors) o A: row i times the zero-order operator factors[i]."""
+    return OpMatrix(A.field, [[ScalarOp.constant(A.field, q) * e
+                               for e in A.row(i)]
+                              for i, q in zip(range(A.rows), factors)],
+                    row_labels=A.row_labels, col_labels=A.col_labels)
+
+
+def _completion_record(basis):
+    return (basis.matrix(), [(r.lead, r.mult_vars) for r in basis.rows],
+            basis.trace.integrability_conditions,
+            sum(s["event"] == "add" for s in basis.trace.steps),
+            basis.trace.steps)
+
+
+def _proportional(u, v):
+    """u = q v, entry by entry, for one nonzero constant q."""
+    if [set(e.terms) for e in u] != [set(e.terms) for e in v]:
+        return False
+    ratios = [a.terms[mu] / b.terms[mu] for a, b in zip(u, v)
+              for mu in a.terms]
+    return all(q == ratios[0] for q in ratios)
+
+
+def _redisplacing_system():
+    """A system whose completion displaces a basis row that then reduces
+    by no step and is inserted again: it must make its prolongations
+    again, as every new basis row does."""
+    G = DiffField(3)
+
+    def d(*idx):
+        return ScalarOp.d(G, *idx)
+
+    zero = ScalarOp.zero(G)
+    return OpMatrix(G, [[zero, 4 * d(2, 2) - 8 * d(1, 2) - 2],
+                        [-8 * d(1, 2), zero],
+                        [-2 * d(3, 3), -8 * d(3)]])
+
+
+def test_both_rings_give_the_same_completion():
+    """Left-multiplying the rows of A by nonzero elements of K leaves its
+    row module alone, and completion is left-K-linear, so it makes the
+    same steps.  Rational constants keep the basis over ZZ, with their
+    denominators cleared on entry; the factor 1 + x1**2 puts it over K.
+    Both give A's basis, Janet data, integrability conditions, number of
+    added rows and trace steps, and a normal form over ZZ is the one over
+    K times a constant."""
+    for order in (DEFAULT_ORDER, TermOrder("lex")):
+        for seed in range(41):
+            A = (random_constant_system(seed) if seed < 40
+                 else _redisplacing_system())
+            field = A.field
+            bump = field.ratfunc("1 + x1**2")
+            rational = itertools.cycle((Fraction(2, 3), Fraction(-5, 7),
+                                        Fraction(9, 4)))
+            variants = [A, _left_scaled(A, rational),
+                        _left_scaled(A, [bump] * A.rows)]
+            bases = [complete(M, order) for M in variants]
+            assert [b._zz for b in bases] == [True, True, False], seed
+            want = _completion_record(bases[0])
+            for b in bases[1:]:
+                assert _completion_record(b) == want, (order.kind, seed)
+            # d2 d1^k on one unknown plus the first input row
+            for j, k in itertools.product(range(A.cols), range(3)):
+                row = [e + ScalarOp.d(field, *[1] * k, 2) * int(i == j)
+                       for i, e in enumerate(A.row(0))]
+                assert _proportional(bases[0].normal_form(row),
+                                     bases[2].normal_form(row)), seed
+            assert bases[0]._zz and not bases[2]._zz, seed
+
+
+def test_a_basis_over_zz_grown_by_an_x_row_matches_its_completion():
+    """A row x1 d1 + d2 on the first unknown moves a completed basis over
+    ZZ to K; grown by it and tail reduced, the basis has the rows that
+    completing the stacked matrix from scratch gives."""
+    for seed in range(20):
+        A = random_constant_system(seed)
+        field = A.field
+        d1, d2 = [tuple(int(i == k) for i in range(field.n)) for k in (0, 1)]
+        extra = OpMatrix(field, [[ScalarOp(field, {d1: "x1", d2: 1})]
+                                 + [ScalarOp.zero(field)] * (A.cols - 1)])
+        grown = complete(A)
+        assert grown._zz
+        grown.add(extra)
+        assert not grown._zz
+        grown.tail_reduce()
+        full = complete(A.stack(extra))
+        assert sorted((r.lead, str(r.op)) for r in grown.rows) == \
+            sorted((r.lead, str(r.op)) for r in full.rows), seed
+        assert grown.verify_involutive(), seed
+
+
+def test_prolongation_order_budget_raises_resource_limit(monkeypatch):
+    """_Budget.check_order stops a prolongation above the order budget:
+    d1 d2 (y) and d1 (y) - d2 (y) in two variables need a prolongation
+    to order 3, above a budget of order 2."""
+    class Tight(janet._Budget):
+        def __init__(self, max_order):
+            super().__init__(2)
+
+    A = OpMatrix(F, [[ScalarOp.d(F, 1, 2)],
+                     [ScalarOp.d(F, 1) - ScalarOp.d(F, 2)]])
+    complete(A)
+    monkeypatch.setattr(janet, "_Budget", Tight)
+    with pytest.raises(ResourceLimit, match="prolongation order budget"):
+        complete(A)

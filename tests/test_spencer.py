@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from diffmod.spencer import (SymbolSpace, UnsupportedDimension,
+from diffmod.spencer import (SymbolSpace, UnsupportedDimension, _delta,
                              acyclicity_check, classical_dims,
                              conformal_diagram_dims, conformal_symbol,
                              contact_bundle_dim, delta_cohomology_dim,
-                             delta_squared_is_zero, killing_symbol, rank,
-                             sym_dim)
+                             killing_symbol, rank, sym_dim, sym_monos,
+                             wedge_sets)
 
 
 def closed_h2(n):
@@ -156,6 +156,21 @@ def test_diagram_fiber_dimensions():
     d = conformal_diagram_dims(5)
     assert d == {"z3_isometry": 75, "z3_conformal": 85, "h3_conformal": 35,
                  "wedge2_g2hat": 50, "delta_T_S2": 40, "wedge3": 10}
+
+
+def delta_squared_is_zero(n, m, s, q):
+    """Exact check that the composite of two delta maps vanishes.
+
+    delta leaves the E factor alone, so its rank m plays no part."""
+    for I in wedge_sets(n, s):
+        for mu in sym_monos(n, q):
+            acc = {}
+            for sign, J, nu in _delta(I, mu):
+                for sign2, K, rho in _delta(J, nu):
+                    acc[(K, rho)] = acc.get((K, rho), 0) + sign * sign2
+            if any(acc.values()):
+                return False
+    return True
 
 
 def test_delta_squared_zero():

@@ -3,7 +3,7 @@ import sympy as sp
 
 from diffmod import janet, syzygy
 from diffmod.dsl import elaborate, parse_system
-from diffmod.field import DiffField, Session
+from diffmod.field import DiffField, ResourceLimit, Session
 from diffmod.janet import complete
 from diffmod.ops import DEFAULT_ORDER, OpMatrix, ScalarOp, TermOrder
 from diffmod.spencer import classical_dims
@@ -359,3 +359,29 @@ def test_rank_of_the_n6_families(family):
     A = {"killing": _flat_killing, "conformal": _flat_conformal}[family](6)
     assert differential_rank(A) == 6
     assert differential_rank(A.adjoint()) == 6
+
+
+def _gradient():
+    return OpMatrix(F, [[ScalarOp.d(F, 1)], [ScalarOp.d(F, 2)]])
+
+
+def test_build_sequence_stops_at_max_steps():
+    """The gradient has a CC, so a cap of one operator stops the sequence
+    unterminated, below the n + 1 bound."""
+    seq = build_sequence(_gradient(), max_steps=1)
+    assert len(seq) == 1 and not seq.terminated
+
+
+def test_build_sequence_raises_past_the_n_plus_1_bound(monkeypatch):
+    """A chain whose CC never comes out empty is cut at n + 1 operators
+    with ResourceLimit."""
+    def never_empty(A, order, session):
+        return OpMatrix.identity(A.field, A.rows), None
+
+    monkeypatch.setattr(syzygy, "_cc_and_completion", never_empty)
+    with pytest.raises(ResourceLimit, match="exceeded the n\\+1 bound"):
+        build_sequence(_gradient())
+
+
+def test_differential_rank_of_a_matrix_without_columns_is_zero():
+    assert differential_rank(OpMatrix.zero(F, 2, 0)) == 0
