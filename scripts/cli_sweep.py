@@ -1,32 +1,30 @@
 """Run every file subcommand of the CLI on every corpus system, and
 `diffmod spencer` on its tables.
 
-    python3 scripts/cli_sweep.py [--in-process] OUTDIR
+    python3 scripts/cli_sweep.py OUTDIR
 
-Runs `python -m diffmod.cli` from the root of this checkout for the 13
-commands below on each `.dms` file of `src/diffmod/corpus`, for the 2
-runs of ASSUMED (`torsion` and `parametrize` on `oneform_area_lie` in the
-case c = 0) and for the 16 `spencer` invocations of SPENCER (the Killing,
-conformal and contact tables, the n = 5 diagram and the three inputs of
-SPENCER_REFUSED it must refuse): 213 runs, one process at a time under
-PYTHONHASHSEED=0.  Each run leaves three files in OUTDIR/<case>/, where
-the case is the corpus file's stem or `spencer`: `<command>.stdout`
-(standard output without its `elapsed_ms` line), `<command>.stderr` and
-`<command>.exit` (the exit status).  Nothing else in them depends on the
-clock or on where the checkout lives, so
+Runs the CLI from the root of this checkout for the 13 commands below on
+each `.dms` file of `src/diffmod/corpus`, for the 2 runs of ASSUMED
+(`torsion` and `parametrize` on `oneform_area_lie` in the case c = 0)
+and for the 16 `spencer` invocations of SPENCER (the Killing, conformal
+and contact tables, the n = 5 diagram and the three inputs of
+SPENCER_REFUSED it must refuse): 213 runs, one at a time under
+PYTHONHASHSEED=0 (the script starts itself again with it if it is not
+set).  The first run of each subcommand and the SPENCER_REFUSED runs
+start `python -m diffmod.cli`, so the module entry point, argparse's
+exits and the error messages cross a real process boundary; the other
+200 call `diffmod.cli.main` in this process, standard output and
+standard error captured and SystemExit caught.
+
+Each run leaves three files in OUTDIR/<case>/, where the case is the
+corpus file's stem or `spencer`: `<command>.stdout` (standard output
+without its `elapsed_ms` line), `<command>.stderr` and `<command>.exit`
+(the exit status).  Nothing else in them depends on the clock or on
+where the checkout lives, so
 
     diff -r PARENT_OUTDIR CHANGE_OUTDIR
 
 shows every output a change altered.
-
-With --in-process the same 213 runs call `diffmod.cli.main` in one
-Python process under PYTHONHASHSEED=0 (the script starts itself again
-with it if it is not set), standard output and standard error captured
-and SystemExit caught, and write the same OUTDIR.  The first run of each
-subcommand and the SPENCER_REFUSED runs still start `python -m
-diffmod.cli`, so the module entry point, argparse's exits and the error
-messages cross a real process boundary: 13 processes, not 213.  Both
-modes give the same OUTDIR under diff -r.
 
 One line per run goes to standard output.  The exit status is 1 when a
 run printed a Python traceback or exited with a status other than 0
@@ -110,21 +108,17 @@ def run_in_process(args):
 
 
 def main(argv):
-    in_process = argv[:1] == ["--in-process"]
-    if in_process:
-        argv = argv[1:]
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
     out = Path(argv[0]).resolve()
     env = dict(os.environ, PYTHONHASHSEED="0",
                PYTHONPATH=str(ROOT / "src"))
-    if in_process and os.environ.get("PYTHONHASHSEED") != "0":
-        return subprocess.run([sys.executable, __file__, "--in-process",
-                               str(out)], env=env).returncode
-    if in_process:
-        sys.path.insert(0, str(ROOT / "src"))
-        os.chdir(ROOT)
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        return subprocess.run([sys.executable, __file__, str(out)],
+                              env=env).returncode
+    sys.path.insert(0, str(ROOT / "src"))
+    os.chdir(ROOT)
     jobs = [(dms.stem, name, [*args, str(CORPUS / dms.name)])
             for dms in sorted((ROOT / CORPUS).glob("*.dms"))
             for name, args in COMMANDS.items()]
@@ -137,7 +131,7 @@ def main(argv):
     for stem, name, args in jobs:
         case = out / stem
         case.mkdir(parents=True, exist_ok=True)
-        process = (not in_process or args[0] not in seen
+        process = (args[0] not in seen
                    or (stem == "spencer" and name in SPENCER_REFUSED))
         seen.add(args[0])
         t0 = time.perf_counter()
@@ -150,7 +144,7 @@ def main(argv):
         (case / f"{name}.stdout").write_text(stdout)
         (case / f"{name}.stderr").write_text(stderr)
         (case / f"{name}.exit").write_text(f"{code}\n")
-        flag = "" if not in_process else "  process" if process else ""
+        flag = "  process" if process else ""
         if "Traceback" in stderr or code not in EXIT_CODES:
             bad.append(f"{stem} {name}")
             flag += "  BAD"

@@ -46,8 +46,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from .field import ResourceLimit, Session
-from .ops import (DEFAULT_ORDER, OpMatrix, ScalarOp, _compose_into, mono_le,
-                  mono_order, mono_str, mono_sub)
+from .ops import (DEFAULT_ORDER, OpMatrix, ScalarOp, _compose_into, mono_add,
+                  mono_le, mono_order, mono_str, mono_sub)
 
 
 def janet_multiplicative(leads, seq):
@@ -105,10 +105,28 @@ def _lead(block, key):
 
 
 def _combine(w, a, c, kappa, r):
-    """a * w + c * d^kappa o r for term dicts w and r."""
+    """a * w + c * d^kappa o r for term dicts w and r.
+
+    Over ZZ (c an int) every coefficient is a constant, whose only
+    Leibniz term is itself, so d^kappa o r is r shifted by kappa.
+    """
     terms = dict(w) if a == 1 else {mu: a * v for mu, v in w.items()}
-    _compose_into(terms, c, kappa, r)
+    if type(c) is not int:
+        _compose_into(terms, c, kappa, r)
+        return terms
+    for nu, b in r.items():
+        key = mono_add(kappa, nu)
+        v = terms.get(key, 0) + c * b
+        if v:
+            terms[key] = v
+        else:
+            del terms[key]
     return terms
+
+
+def _class_label(mu, seq):
+    """Class of a lead monomial: its highest variable in seq, 0 for 1."""
+    return next((v for v in reversed(seq) if mu[v - 1]), 0)
 
 
 class _Row:
@@ -294,27 +312,30 @@ class InvolutiveBasis:
             mu: c._q.numerator * (lcm // c._q.denominator)
             for mu, c in e.items()})
 
+    def _to_k(self, row, monic):
+        """The map taking a term dict of row, over ZZ, to K: field
+        constants, divided by the row's lead coefficient when monic."""
+        const = self.field._constant
+        a = row.lead_coeff(self._key) if monic else 1
+        return lambda e: {mu: const(Fraction(v, a)) for mu, v in e.items()}
+
     def _over_k(self, row, monic):
-        """row over K.  A row over ZZ becomes field constants, divided by
-        its lead coefficient when monic; a basis row over K is monic."""
+        """row over K; a basis row over K is monic."""
         if not self._zz:
             return row
-        const = self.field._constant
-        if monic:
-            a = row.lead_coeff(self._key)
-            out = row._map(lambda e: {mu: const(Fraction(v, a))
-                                      for mu, v in e.items()})
-        else:
-            out = row._map(lambda e: {mu: const(v) for mu, v in e.items()})
+        out = row._map(self._to_k(row, monic))
         out.prolonged = row.prolonged
         return out
 
-    def _boundary(self, row, monic):
-        """The op and src blocks of row over K as lists of operators, or
+    def _boundary(self, row, monic, block="op"):
+        """One block of row, "op" or "src", over K as a list of operators;
         None for a src block the row does not have."""
-        row = self._over_k(row, monic)
-        return [[ScalarOp._of(self.field, e) for e in block]
-                if block is not None else None for block in (row.op, row.src)]
+        terms = getattr(row, block)
+        if terms is None:
+            return None
+        if self._zz:
+            terms = map(self._to_k(row, monic), terms)
+        return [ScalarOp._of(self.field, e) for e in terms]
 
     def _basis_row(self, h):
         """h as a new basis row, prolonged by no variable yet: primitive
@@ -368,10 +389,10 @@ class InvolutiveBasis:
         seq = self.order.seq(self.field.n)
         out = []
         for r, mult in zip(self._rows, self._mult):
-            col, mu = r.lead(self._key)
-            cls = next((v for v in reversed(seq) if mu[v - 1]), 0)
-            out.append(JanetRow(*self._boundary(r, monic=True), (col, mu),
-                                mult, cls))
+            lead = r.lead(self._key)
+            out.append(JanetRow(self._boundary(r, monic=True),
+                                self._boundary(r, monic=True, block="src"),
+                                lead, mult, _class_label(lead[1], seq)))
         return out
 
     def __len__(self):
@@ -382,14 +403,14 @@ class InvolutiveBasis:
         return max((r.lead_order(self._key) for r in self._rows), default=-1)
 
     def matrix(self):
-        ent = [self._boundary(r, monic=True)[0] for r in self._rows]
+        ent = [self._boundary(r, monic=True) for r in self._rows]
         return OpMatrix.from_rows(self.field, ent, self.ncols,
                                   col_labels=self.input.col_labels)
 
     def src_matrix(self):
         if not self.track_src:
             return None
-        ent = [self._boundary(r, monic=True)[1] for r in self._rows]
+        ent = [self._boundary(r, monic=True, block="src") for r in self._rows]
         return OpMatrix.from_rows(self.field, ent, self.input.rows,
                                   col_labels=self.input.row_labels)
 
@@ -452,7 +473,7 @@ class InvolutiveBasis:
         """
         self._admit([op_row])
         return self._boundary(self.reduce_row(self._row(op_row)),
-                              monic=False)[0]
+                              monic=False)
 
     def contains(self, op_row):
         return all(e.is_zero for e in self.normal_form(op_row))
@@ -501,7 +522,8 @@ class InvolutiveBasis:
             if not row.op_is_zero:
                 pending.append((row, None, origin))
             elif not row.src_is_zero:
-                trace.cc_rows.append(self._boundary(row, monic=False)[1])
+                trace.cc_rows.append(
+                    self._boundary(row, monic=False, block="src"))
                 trace.steps.append({"event": "cc", "from": origin})
         while True:
             if not pending:
@@ -514,7 +536,8 @@ class InvolutiveBasis:
             h = self.reduce_row(row, budget)
             if h.op_is_zero:
                 if not h.src_is_zero:
-                    trace.cc_rows.append(self._boundary(h, monic=False)[1])
+                    trace.cc_rows.append(
+                        self._boundary(h, monic=False, block="src"))
                     trace.steps.append({"event": "cc", "from": origin})
                 else:
                     trace.steps.append({"event": "zero", "from": origin})
@@ -523,7 +546,7 @@ class InvolutiveBasis:
             h = self._basis_row(h)
             if expected is not None and lead_ord < expected:
                 trace.integrability_conditions.append(OpMatrix.from_rows(
-                    field, [self._boundary(h, monic=True)[0]], self.ncols,
+                    field, [self._boundary(h, monic=True)], self.ncols,
                     col_labels=self.input.col_labels))
                 trace.steps.append({"event": "integrability", "from": origin,
                                     "order": lead_ord})
@@ -626,14 +649,15 @@ def complete(A, order=None, session=None, track_src=False,
 
 def janet_board(basis):
     """Per-row multiplicative variables and class, like the boxed boards."""
+    seq = basis.order.seq(basis.field.n)
     board = []
-    for jr in basis.rows:
-        col, mu = jr.lead
+    for r, mult in zip(basis._rows, basis._mult):
+        col, mu = r.lead(basis._key)
         board.append({
             "lead": (mono_str(mu) or "1") + f"({basis.input.col_labels[col]})",
-            "mult_vars": sorted(jr.mult_vars),
-            "nonmult_vars": sorted(set(range(1, basis.field.n + 1)) - jr.mult_vars),
-            "class": jr.class_label,
+            "mult_vars": sorted(mult),
+            "nonmult_vars": sorted(set(range(1, basis.field.n + 1)) - mult),
+            "class": _class_label(mu, seq),
         })
     return board
 

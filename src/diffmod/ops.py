@@ -2,11 +2,9 @@
 
 Scalar operators store their coefficients to the LEFT of the derivative
 monomials; products commute the d_i past coefficients with the Leibniz
-rule d_i a = a d_i + da/dx_i.  Every coefficient of an operator is a field
-element, one cancelled fraction (see field.py); a rational constant is
-held as a reduced Fraction until its polynomials are needed.  The Leibniz
-kernel `_compose_into` also takes plain term dicts with int coefficients,
-the rows the Janet engine reduces over ZZ (see janet.py).  Matrices over D
+rule d_i a = a d_i + da/dx_i.  Every coefficient is a field element, one
+cancelled fraction (see field.py); a rational constant is held as a
+reduced Fraction until its polynomials are needed.  Matrices over D
 represent operators between free modules, with the formal adjoint and
 composition used by every duality computation downstream.
 """
@@ -73,18 +71,7 @@ def _compose_into(terms, coeff, mu, other):
     free of x only kappa = 0 is visited.  A rational constant b (_q set)
     has no derivatives at all, so its one Leibniz term, binomial 1, goes
     straight into terms as b * coeff, with no branch or per-monomial sum.
-    An int coeff means that every coefficient is an int (a row reduced
-    over ZZ, see janet.py): all constants, each added the same way.
     """
-    if type(coeff) is int:
-        for nu, b in other.items():
-            key = mono_add(mu, nu)
-            s = terms.get(key, 0) + b * coeff
-            if s:
-                terms[key] = s
-            else:
-                del terms[key]
-        return
     n = len(mu)
     acc = {}
     for nu, b in other.items():

@@ -79,7 +79,8 @@ def _cc_and_completion(A, order, session):
     raw_matrix = OpMatrix.from_rows(field, raw, A.rows, col_labels=A.row_labels)
     syz_basis = complete(raw_matrix, order=order, session=session,
                          track_src=False)
-    candidates = [r.op for r in syz_basis.rows]
+    syz = syz_basis.matrix()
+    candidates = [syz.row(i) for i in range(syz.rows)]
     kept = _minimalize(field, candidates, A.rows, order, session, A.row_labels)
     labels = [f"z{i+1}" for i in range(len(kept))]
     return OpMatrix.from_rows(field, kept, A.rows, row_labels=labels,
@@ -130,7 +131,7 @@ def classify_operator(A, basis, order=None):
         return True, True
     order = order or DEFAULT_ORDER
     formally_integrable = not basis.trace.integrability_conditions
-    added = {r.lead for r in basis.rows}
+    added = {r.lead(basis._key) for r in basis._rows}
     key = _TermKeys(order).__getitem__
     input_leads = {lead_term(A.row(i), key) for i in range(A.rows)}
     involutive = added <= input_leads
