@@ -295,7 +295,7 @@ class InvolutiveBasis:
         lists of operators, is not a rational constant."""
         if self._zz and any(c._q is None for row in op_rows for e in row
                             for c in e.terms.values()):
-            self._rows = [self._over_k(r, monic=True) for r in self._rows]
+            self._rows = [self._over_k(r) for r in self._rows]
             self._zz = False
 
     def _row(self, op, src=None):
@@ -319,11 +319,9 @@ class InvolutiveBasis:
         a = row.lead_coeff(self._key) if monic else 1
         return lambda e: {mu: const(Fraction(v, a)) for mu, v in e.items()}
 
-    def _over_k(self, row, monic):
-        """row over K; a basis row over K is monic."""
-        if not self._zz:
-            return row
-        out = row._map(self._to_k(row, monic))
+    def _over_k(self, row):
+        """A basis row over ZZ as a monic row over K, same prolonged set."""
+        out = row._map(self._to_k(row, monic=True))
         out.prolonged = row.prolonged
         return out
 
