@@ -243,15 +243,8 @@ def cmd_spencer(args):
     else:
         table = spencer.classical_dims(args.family, args.n)
         payload.update(table)
-        if args.family == "killing":
-            g = spencer.killing_symbol(args.n)
-            payload["H2"] = spencer.delta_cohomology_dim(g, 2, 0)
-            payload["H3"] = spencer.delta_cohomology_dim(g, 3, 0)
-        if args.family == "conformal":
-            g = spencer.conformal_symbol(args.n)
-            payload["ghat3_dim"] = g.prolong(2).dim
-            payload["H3_ghat1"] = spencer.delta_cohomology_dim(g, 3, 0)
-            payload["ghat2_2acyclic"] = spencer.acyclicity_check(g.prolong(1), 2)
+        if args.family in ("killing", "conformal"):
+            payload.update(spencer.symbol_counts(args.family, args.n))
     report = {"command": "spencer", "payload": payload}
     return _finish(report, args, t0)
 

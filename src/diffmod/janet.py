@@ -36,18 +36,34 @@ rings make the same steps and meet the same leads.  Everything that
 leaves the engine is over K: `rows`, `matrix()`, `src_matrix()`,
 `normal_form` and the trace.  Basis rows and integrability conditions
 come out monic, so they are the rows a reduction over K gives.
+
+Inside the engine a term (column, monomial) is one int, packed by
+`_Terms` so that integer order is the basis's term order and a shift by
+d^kappa adds the packed kappa: a row's lead is the max of its keys, a
+reduction sorts plain ints, and an integer step is one addition per
+term.  The packing writes the components of the term order's module key
+as balanced base-2**16 digits, so it holds while every exponent, total
+order and column stays below 2**15; packing a larger term, or unpacking
+an int whose digits overflowed, raises ResourceLimit, far above any
+order a completion reaches within its budgets.  Terms are packed only
+where rows enter (`_row`) and unpacked where they leave (`_boundary`),
+and for the reducer search and the Janet data, which read the monomial
+of a term.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import struct
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, product
 
 from .field import ResourceLimit, Session
-from .ops import (DEFAULT_ORDER, OpMatrix, ScalarOp, _compose_into, mono_add,
-                  mono_le, mono_order, mono_str, mono_sub)
+from .ops import (DEFAULT_ORDER, OpMatrix, ScalarOp, _compose_into, mono_le,
+                  mono_order, mono_str, mono_sub)
 
 
 def janet_multiplicative(leads, seq):
@@ -94,34 +110,121 @@ def minimal_janet_leads(leads, seq):
 
 def lead_term(op_row, key):
     """The greatest (column, monomial) term of a row of operators under
-    key, a rank of terms such as a basis's _TermKeys lookup; None for a
-    zero row."""
-    return _lead([e.terms for e in op_row], key)
-
-
-def _lead(block, key):
-    return max(((j, mu) for j, e in enumerate(block) for mu in e),
+    key, a rank of terms such as a basis's _key; None for a zero row."""
+    return max(((j, mu) for j, e in enumerate(op_row) for mu in e.terms),
                default=None, key=key)
 
 
-def _combine(w, a, c, kappa, r):
-    """a * w + c * d^kappa o r for term dicts w and r.
+# Packed terms are balanced digits in base 2**16, each of size below 2**15.
+_DIGIT_BITS = 16
+_HALF = 1 << (_DIGIT_BITS - 1)
+
+
+class _Terms(dict):
+    """The packed term of each (column, monomial) term of one term order
+    on n variables, computed once: an int whose integer order is the
+    term order.
+
+    pack writes the components of TermOrder.module_key, flattened, as
+    balanced base-2**16 digits, the most significant first: (|mu|, -mu in
+    var_seq order, -col) for degrevlex, (|mu|, mu in reversed var_seq,
+    -col) for deglex, and the same without |mu| for lex.  While every
+    digit is below 2**15 in size, integer order compares the digits in
+    turn, so it is module_key order; and each digit is linear in
+    (col, mu), so pack(col, mu + kappa) = pack(col, mu) + pack(0, kappa).
+    unpack is the inverse, a dict lookup once either way is computed.
+    """
+
+    def __init__(self, order, n):
+        super().__init__()
+        seq = order.seq(n)
+        kinds = {"degrevlex": (True, seq, -1), "deglex": (True, seq[::-1], 1),
+                 "lex": (False, seq[::-1], 1)}
+        if order.kind not in kinds:
+            raise ValueError(f"unknown term order kind {order.kind!r}")
+        self._deg, slots, sign = kinds[order.kind]
+        # pack(0, e_v) for each variable v: +-1 in its digit, whose place
+        # above the column digit is n - k for the k-th after |mu|, and 1
+        # in the |mu| digit at place n + 1
+        self._weights = [0] * n
+        for k, v in enumerate(slots):
+            self._weights[v - 1] = (sign << _DIGIT_BITS * (n - k)) + (
+                self._deg << _DIGIT_BITS * (n + 1))
+        self._unpacked = _Unpacked(self._deg, slots, sign)
+        self.unpack = self._unpacked.__getitem__
+
+    def __missing__(self, term):
+        key = self[term] = self.pack(*term)
+        self._unpacked[key] = term
+        return key
+
+    def pack(self, col, mu):
+        """The int of the term (col, mu)."""
+        if col >= _HALF or max(mu, default=0) >= _HALF or (
+                self._deg and sum(mu) >= _HALF):
+            raise ResourceLimit(f"a term reached the packing bound {_HALF}: "
+                                f"column {col}, monomial {mu}")
+        return sum(map(operator.mul, mu, self._weights)) - col
+
+    def place(self, t, m):
+        """The packed term t multiplied by d^m."""
+        return t + self[(0, m)]
+
+
+class _Unpacked(dict):
+    """The term (column, monomial) of each packed int, computed once.
+
+    Adding half the radix to every digit makes each one a plain base-2**16
+    digit, so the digits are the int's bytes.
+    """
+
+    def __init__(self, deg, slots, sign):
+        super().__init__()
+        n = len(slots)
+        ndigits = deg + n + 1
+        self._deg, self._sign = deg, sign
+        self._offset = sum(_HALF << _DIGIT_BITS * k for k in range(ndigits))
+        self._nbytes = 2 * ndigits
+        self._digits = struct.Struct(f">{ndigits}H").unpack
+        # the digit of each variable, most significant first
+        self._pos = [deg + slots.index(v) for v in range(1, n + 1)]
+
+    def __missing__(self, key):
+        y = key + self._offset
+        if not 0 <= y < 1 << 8 * self._nbytes:
+            raise ResourceLimit(f"a term overflowed the packing bound {_HALF}")
+        digits = self._digits(y.to_bytes(self._nbytes, "big"))
+        sign = self._sign
+        mu = tuple(sign * (digits[p] - _HALF) for p in self._pos)
+        term = _HALF - digits[-1], mu
+        if term[0] < 0 or min(mu, default=0) < 0 or (
+                self._deg and digits[0] - _HALF != sum(mu)):
+            raise ResourceLimit(f"a term overflowed the packing bound {_HALF}")
+        self[key] = term
+        return term
+
+
+def _combine(w, a, c, kappa, r, terms):
+    """a * w + c * d^kappa o r for dicts w and r of packed terms, terms
+    the basis's _Terms.
 
     Over ZZ (c an int) every coefficient is a constant, whose only
-    Leibniz term is itself, so d^kappa o r is r shifted by kappa.
+    Leibniz term is itself, so d^kappa o r is r shifted by kappa: each of
+    its terms plus the packed kappa.
     """
-    terms = dict(w) if a == 1 else {mu: a * v for mu, v in w.items()}
+    out = dict(w) if a == 1 else {t: a * v for t, v in w.items()}
     if type(c) is not int:
-        _compose_into(terms, c, kappa, r)
-        return terms
-    for nu, b in r.items():
-        key = mono_add(kappa, nu)
-        v = terms.get(key, 0) + c * b
+        _compose_into(out, c, kappa, r, terms.place)
+        return out
+    shift = terms[(0, kappa)]
+    for t, b in r.items():
+        t += shift
+        v = out.get(t, 0) + c * b
         if v:
-            terms[key] = v
+            out[t] = v
         else:
-            del terms[key]
-    return terms
+            del out[t]
+    return out
 
 
 def _class_label(mu, seq):
@@ -132,62 +235,66 @@ def _class_label(mu, seq):
 class _Row:
     """Augmented module row: op over the unknowns, src over the inputs.
 
-    Each block is a list of term dicts, derivative monomial to
-    coefficient, the coefficients ints over ZZ and field elements over K.
-    prolonged holds the variables the row has been prolonged by as a
-    basis row; a new row starts with none.
+    Each block is one dict, packed term (see _Terms) to coefficient, the
+    coefficients ints over ZZ and field elements over K.  prolonged holds
+    the variables the row has been prolonged by as a basis row; a new row
+    starts with none.
     """
 
-    __slots__ = ("op", "src", "_lead", "prolonged")
+    __slots__ = ("op", "src", "_top", "prolonged")
 
     def __init__(self, op, src):
         self.op = op
         self.src = src
-        self._lead = None
+        self._top = None
         self.prolonged = set()
 
-    def lead(self, key):
-        """The greatest (column, monomial) term under key, a rank of terms
-        such as a basis's _TermKeys lookup; found once and kept."""
-        if self._lead is None:
-            self._lead = _lead(self.op, key)
-        return self._lead
+    @property
+    def top(self):
+        """The greatest packed term of op, found once and kept; None for a
+        zero row."""
+        if self._top is None and self.op:
+            self._top = max(self.op)
+        return self._top
+
+    def lead(self, terms):
+        """The greatest (column, monomial) term, unpacked by terms, the
+        basis's _Terms; None for a zero row."""
+        top = self.top
+        return None if top is None else terms.unpack(top)
 
     @property
     def op_is_zero(self):
-        return not any(self.op)
+        return not self.op
 
     @property
     def src_is_zero(self):
-        return self.src is None or not any(self.src)
+        return not self.src
 
-    def lead_coeff(self, key):
-        j, mu = self.lead(key)
-        return self.op[j][mu]
+    def lead_coeff(self):
+        return self.op[self.top]
 
-    def lead_order(self, key):
-        return mono_order(self.lead(key)[1])
+    def lead_order(self, terms):
+        return mono_order(self.lead(terms)[1])
 
     def _map(self, f):
-        """The row with f applied to every term dict; same lead."""
-        row = _Row([f(e) for e in self.op],
-                   None if self.src is None else [f(e) for e in self.src])
-        row._lead = self._lead
+        """The row with f applied to each block; same lead."""
+        row = _Row(f(self.op), None if self.src is None else f(self.src))
+        row._top = self._top
         return row
 
     def primitive(self):
         """Over ZZ: the row divided by the content of both blocks."""
-        g = 0
-        for e in self.op if self.src is None else self.op + self.src:
-            g = math.gcd(g, *e.values())
-            if g == 1:
-                return self
-        if not g:
+        g = math.gcd(*self.op.values())
+        if g != 1 and self.src:
+            g = math.gcd(g, *self.src.values())
+        if g in (0, 1):
             return self
-        return self._map(lambda e: {mu: v // g for mu, v in e.items()})
+        return self._map(lambda e: {t: v // g for t, v in e.items()})
 
-    def sub_multiple(self, a, c, kappa, other):
-        """a * self - c * d^kappa o other on both blocks, in one pass.
+    def sub_multiple(self, a, c, kappa, other, terms):
+        """a * self - c * d^kappa o other on both blocks, in one pass, with
+        terms the basis's _Terms.
 
         Over ZZ (c an int) a and c are first divided by gcd(a, c), and the
         result is made primitive.  Over K a is 1 when other is a basis
@@ -199,12 +306,9 @@ class _Row:
             a, c = a // g, -(c // g)
         else:
             a, c = 1 if a.is_one else a, -c
-        op = [_combine(x, a, c, kappa, y) for x, y in zip(self.op, other.op)]
-        if self.src is None:
-            src = None
-        else:
-            src = [_combine(x, a, c, kappa, y)
-                   for x, y in zip(self.src, other.src)]
+        op = _combine(self.op, a, c, kappa, other.op, terms)
+        src = (None if self.src is None else
+               _combine(self.src, a, c, kappa, other.src, terms))
         row = _Row(op, src)
         return row.primitive() if zz else row
 
@@ -251,18 +355,6 @@ class _Budget:
             raise ResourceLimit(f"prolongation order budget exceeded ({self.max_order})")
 
 
-class _TermKeys(dict):
-    """module_key of each (column, monomial) term, computed once."""
-
-    def __init__(self, order):
-        super().__init__()
-        self.order = order
-
-    def __missing__(self, term):
-        key = self[term] = self.order.module_key(term)
-        return key
-
-
 class InvolutiveBasis:
     """Janet basis of the row module of an operator matrix, grown by add.
 
@@ -286,7 +378,8 @@ class InvolutiveBasis:
         self._mult = []                # parallel list of frozensets
         self._divisors = {}            # col -> [(position, lead, nonmult)]
         self._q = 0                    # highest order added
-        self._key = _TermKeys(order).__getitem__
+        self._terms = _Terms(order, self.field.n)
+        self._key = self._terms.__getitem__   # (col, mu) -> packed term
 
     # -- the ring and the boundary ---------------------------------------
 
@@ -299,25 +392,30 @@ class InvolutiveBasis:
             self._zz = False
 
     def _row(self, op, src=None):
-        """Lists of operators as a _Row over the basis's ring, which
-        _admit has chosen: over ZZ each coefficient is multiplied by the
-        lcm of the row's denominators, src included."""
-        op = [e.terms for e in op]
-        src = None if src is None else [e.terms for e in src]
+        """Lists of operators as a _Row of packed terms over the basis's
+        ring, which _admit has chosen: over ZZ each coefficient is
+        multiplied by the lcm of the row's denominators, src included."""
+        key = self._key
+
+        def packed(block):
+            return {key((j, mu)): c for j, e in enumerate(block)
+                    for mu, c in e.terms.items()}
+
+        row = _Row(packed(op), None if src is None else packed(src))
         if not self._zz:
-            return _Row(op, src)
-        lcm = math.lcm(*(c._q.denominator for e in op + (src or [])
-                         for c in e.values()))
-        return _Row(op, src)._map(lambda e: {
-            mu: c._q.numerator * (lcm // c._q.denominator)
-            for mu, c in e.items()})
+            return row
+        lcm = math.lcm(*(c._q.denominator for c in
+                         chain(row.op.values(), (row.src or {}).values())))
+        return row._map(lambda e: {
+            t: c._q.numerator * (lcm // c._q.denominator)
+            for t, c in e.items()})
 
     def _to_k(self, row, monic):
-        """The map taking a term dict of row, over ZZ, to K: field
-        constants, divided by the row's lead coefficient when monic."""
+        """The map taking a block of row, over ZZ, to K: field constants,
+        divided by the row's lead coefficient when monic."""
         const = self.field._constant
-        a = row.lead_coeff(self._key) if monic else 1
-        return lambda e: {mu: const(Fraction(v, a)) for mu, v in e.items()}
+        a = row.lead_coeff() if monic else 1
+        return lambda e: {t: const(Fraction(v, a)) for t, v in e.items()}
 
     def _over_k(self, row):
         """A basis row over ZZ as a monic row over K, same prolonged set."""
@@ -326,14 +424,21 @@ class InvolutiveBasis:
         return out
 
     def _boundary(self, row, monic, block="op"):
-        """One block of row, "op" or "src", over K as a list of operators;
-        None for a src block the row does not have."""
+        """One block of row, "op" or "src", over K as a list of operators,
+        one per unknown or input row; None for a src block the row does
+        not have."""
         terms = getattr(row, block)
         if terms is None:
             return None
         if self._zz:
-            terms = map(self._to_k(row, monic), terms)
-        return [ScalarOp._of(self.field, e) for e in terms]
+            terms = self._to_k(row, monic)(terms)
+        out = [{} for _ in range(self.ncols if block == "op"
+                                 else self.input.rows)]
+        unpack = self._terms.unpack
+        for t, v in terms.items():
+            j, mu = unpack(t)
+            out[j][mu] = v
+        return [ScalarOp._of(self.field, e) for e in out]
 
     def _basis_row(self, h):
         """h as a new basis row, prolonged by no variable yet: primitive
@@ -341,10 +446,10 @@ class InvolutiveBasis:
         if self._zz:
             row = h.primitive()
         else:
-            c = h.lead_coeff(self._key)
+            c = h.lead_coeff()
             self.session.check_pivot(c)
             inv = c.inverse()
-            row = h._map(lambda e: {mu: v * inv for mu, v in e.items()})
+            row = h._map(lambda e: {t: v * inv for t, v in e.items()})
         row.prolonged = set()
         return row
 
@@ -352,9 +457,9 @@ class InvolutiveBasis:
         """d_i o r, on the src block too if r has one."""
         e_i = tuple(int(k == i - 1) for k in range(self.field.n))
         one = 1 if self._zz else self.field.one
-        return _Row([_combine({}, 1, one, e_i, x) for x in r.op],
+        return _Row(_combine({}, 1, one, e_i, r.op, self._terms),
                     None if r.src is None else
-                    [_combine({}, 1, one, e_i, x) for x in r.src])
+                    _combine({}, 1, one, e_i, r.src, self._terms))
 
     # -- Janet structure -------------------------------------------------
 
@@ -362,23 +467,32 @@ class InvolutiveBasis:
         """Lead monomials of the rows, by column."""
         leads = {}
         for r in self._rows:
-            col, mu = r.lead(self._key)
+            col, mu = r.lead(self._terms)
             leads.setdefault(col, []).append(mu)
         return leads
 
-    def _assign_mult(self):
+    def _assign_mult(self, col=None):
         """Multiplicative variables of every row, and the reducer index:
         per column, each row's position, lead monomial and the 0-based
-        positions of its nonmultiplicative variables, in row order."""
+        positions of its nonmultiplicative variables, in row order.
+
+        With col set, only that column's leads have changed since the
+        last assignment, and _mult holds the old assignment of every other
+        row at its new position: only col's rows are recomputed.
+        """
         seq = self.order.seq(self.field.n)
-        mult = {col: dict(zip(mus, janet_multiplicative(mus, seq)))
-                for col, mus in self._leads().items()}
-        self._mult, self._divisors = [], {}
-        for pos, r in enumerate(self._rows):
-            col, mu = r.lead(self._key)
-            m = mult[col][mu]
+        leads = [r.lead(self._terms) for r in self._rows]
+        changed = {}
+        for c, mu in leads:
+            if col is None or c == col:
+                changed.setdefault(c, []).append(mu)
+        mult = {c: dict(zip(mus, janet_multiplicative(mus, seq)))
+                for c, mus in changed.items()}
+        old, self._mult, self._divisors = self._mult, [], {}
+        for pos, (c, mu) in enumerate(leads):
+            m = mult[c][mu] if c in mult else old[pos]
             self._mult.append(m)
-            self._divisors.setdefault(col, []).append(
+            self._divisors.setdefault(c, []).append(
                 (pos, mu, [i for i in range(len(mu)) if i + 1 not in m]))
 
     @property
@@ -387,7 +501,7 @@ class InvolutiveBasis:
         seq = self.order.seq(self.field.n)
         out = []
         for r, mult in zip(self._rows, self._mult):
-            lead = r.lead(self._key)
+            lead = r.lead(self._terms)
             out.append(JanetRow(self._boundary(r, monic=True),
                                 self._boundary(r, monic=True, block="src"),
                                 lead, mult, _class_label(lead[1], seq)))
@@ -398,7 +512,8 @@ class InvolutiveBasis:
 
     @property
     def max_order(self):
-        return max((r.lead_order(self._key) for r in self._rows), default=-1)
+        return max((r.lead_order(self._terms) for r in self._rows),
+                   default=-1)
 
     def matrix(self):
         ent = [self._boundary(r, monic=True) for r in self._rows]
@@ -429,35 +544,30 @@ class InvolutiveBasis:
         the basis.
 
         With tail=True the row's own lead term is left alone and only the
-        terms below it are reduced.  Each pass looks only below the term
-        the last step reduced: the step a * w - c * d^kappa o r cancels
-        that term, and every term of d^kappa o r lies at or below it (the
-        order is compatible with d^kappa and Leibniz terms lower the
-        monomial), so the terms above it are only scaled by a constant
-        and stay irreducible.
+        terms below it are reduced.  Each pass sorts the packed terms and
+        looks only below the term the last step reduced: the step
+        a * w - c * d^kappa o r cancels that term, and every term of
+        d^kappa o r lies at or below it (the order is compatible with
+        d^kappa and Leibniz terms lower the monomial), so the terms above
+        it are only scaled by a constant and stay irreducible.
         """
-        key = self._key
-        top = key(row.lead(key)) if tail else None
+        terms, reducer = self._terms, self._reducer
+        unpack = terms.unpack
+        top = row.top if tail else None
         work = row
-        while True:
-            terms = [(j, mu) for j, e in enumerate(work.op) for mu in e]
-            if top is not None:
-                terms = [t for t in terms if key(t) < top]
-            if not terms:
-                break
-            terms.sort(key=key, reverse=True)
-            hit = None
-            for t in terms:
-                found = self._reducer(t)
+        while work.op:
+            ordered = sorted(work.op)
+            k = len(ordered) if top is None else bisect_left(ordered, top)
+            for t in reversed(ordered[:k]):
+                found = reducer(unpack(t))
                 if found is not None:
-                    hit = (t, found)
                     break
-            if hit is None:
+            else:
                 break
-            (j, mu), (r, kappa) = hit
-            work = work.sub_multiple(r.lead_coeff(key), work.op[j][mu],
-                                     kappa, r)
-            top = key((j, mu))
+            r, kappa = found
+            work = work.sub_multiple(r.lead_coeff(), work.op[t], kappa, r,
+                                     terms)
+            top = t
             if budget is not None:
                 budget.tick()
         return work
@@ -506,7 +616,7 @@ class InvolutiveBasis:
         """
         if self.track_src and A is not self.input:
             raise ValueError("a basis that tracks sources adds only its input")
-        field, key, trace = self.field, self._key, self.trace
+        field, terms, trace = self.field, self._terms, self.trace
         self._q = max(self._q, A.order)
         budget = _Budget(2 * self._q + 6)
         op_rows = [A.row(i) for i in range(A.rows)]
@@ -529,7 +639,7 @@ class InvolutiveBasis:
                 if task is None:
                     break
                 pending.append(task)
-            pending.sort(key=lambda item: key(item[0].lead(key)))
+            pending.sort(key=lambda item: item[0].top)
             row, expected, origin = pending.pop(0)
             h = self.reduce_row(row, budget)
             if h.op_is_zero:
@@ -540,7 +650,7 @@ class InvolutiveBasis:
                 else:
                     trace.steps.append({"event": "zero", "from": origin})
                 continue
-            lead_ord = h.lead_order(key)
+            lead_ord = h.lead_order(terms)
             h = self._basis_row(h)
             if expected is not None and lead_ord < expected:
                 trace.integrability_conditions.append(OpMatrix.from_rows(
@@ -551,7 +661,7 @@ class InvolutiveBasis:
             for b in self._insert(h):
                 pending.append((b, None, "displaced"))
             trace.steps.append({"event": "add", "from": origin,
-                                "lead": h.lead(key), "order": lead_ord})
+                                "lead": h.lead(terms), "order": lead_ord})
             # _divisors has one entry per column holding a lead
             if lead_columns is not None and len(self._divisors) >= lead_columns:
                 return
@@ -569,16 +679,22 @@ class InvolutiveBasis:
                   for mu in minimal_janet_leads(mus, seq)}
         if len(needed) < len(self._rows):
             self._rows = [r for r in self._rows
-                          if r.lead(self._key) in needed]
+                          if r.lead(self._terms) in needed]
             self._assign_mult()
 
     def _insert(self, h):
         """Put h in the basis; return the rows whose lead h's lead divides."""
-        col, mu = h.lead(self._key)
-        displaced = [b for b in self._rows if b.lead(self._key)[0] == col
-                     and mono_le(mu, b.lead(self._key)[1])]
-        self._rows = [b for b in self._rows if b not in displaced] + [h]
-        self._assign_mult()
+        col, mu = h.lead(self._terms)
+        kept, displaced = [], []
+        for b, m in zip(self._rows, self._mult):
+            c, lam = b.lead(self._terms)
+            if c == col and mono_le(mu, lam):
+                displaced.append(b)
+            else:
+                kept.append((b, m))
+        self._rows = [b for b, _ in kept] + [h]
+        self._mult = [m for _, m in kept] + [None]
+        self._assign_mult(col)
         return displaced
 
     def _next_prolongation(self, budget):
@@ -588,8 +704,8 @@ class InvolutiveBasis:
                 if i in mult or i in r.prolonged:
                     continue
                 r.prolonged.add(i)
-                budget.check_order(r.lead_order(self._key) + 1)
-                return (self._prolong(r, i), r.lead_order(self._key) + 1,
+                budget.check_order(r.lead_order(self._terms) + 1)
+                return (self._prolong(r, i), r.lead_order(self._terms) + 1,
                         f"d{i} prolongation")
         return None
 
@@ -605,7 +721,7 @@ class InvolutiveBasis:
         for idx, r in enumerate(list(self._rows)):
             work = self.reduce_row(r, budget, tail=True)
             if work is not r:
-                work._lead = r.lead(self._key)
+                work._top = r.top
                 work.prolonged = r.prolonged
                 self._rows[idx] = work
 
@@ -650,7 +766,7 @@ def janet_board(basis):
     seq = basis.order.seq(basis.field.n)
     board = []
     for r, mult in zip(basis._rows, basis._mult):
-        col, mu = r.lead(basis._key)
+        col, mu = r.lead(basis._terms)
         board.append({
             "lead": (mono_str(mu) or "1") + f"({basis.input.col_labels[col]})",
             "mult_vars": sorted(mult),

@@ -59,9 +59,13 @@ def _add_into(terms, key, c):
         terms[key] = s
 
 
-def _compose_into(terms, coeff, mu, other):
+def _compose_into(terms, coeff, mu, other, place=mono_add):
     """terms += coeff * d^mu o other, other a dict of terms, by the Leibniz
     rule d^mu o b = sum over kappa <= mu of binom(mu, kappa) d^kappa(b) d^(mu-kappa).
+
+    place(nu, m) is where the term nu of other goes when multiplied by
+    d^m: by default the monomial nu + m; the Janet engine passes its own
+    for packed terms.
 
     The Leibniz terms are summed per monomial first, so coeff multiplies
     each sum once: with fractional coefficients the products are what
@@ -76,13 +80,13 @@ def _compose_into(terms, coeff, mu, other):
     acc = {}
     for nu, b in other.items():
         if b._q is not None:
-            _add_into(terms, mono_add(mu, nu), b * coeff)
+            _add_into(terms, place(nu, mu), b * coeff)
             continue
         stack = [((0,) * n, b, n)]  # kappa, d^kappa(b), indices it may grow
         while stack:
             kappa, db, top = stack.pop()
             binom = mono_binom(mu, kappa)
-            _add_into(acc, mono_add(mono_sub(mu, kappa), nu),
+            _add_into(acc, place(nu, mono_sub(mu, kappa)),
                       db if binom == 1 else db * binom)
             if db._q is not None:   # a constant: every derivative vanishes
                 continue

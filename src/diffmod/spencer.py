@@ -193,9 +193,14 @@ def acyclicity_check(g, k):
     Prolongations are checked until the symbol dies (finite type) or
     r = n + 2, a small safety margin past stabilisation.
     """
-    bases = g.ladder(g.n + 4)
-    return all(_cohomology_dim(g.n, s, bases, r) == 0
-               for r in range(min(len(bases), g.n + 3)) if bases[r]
+    return _acyclic(g.n, g.ladder(g.n + 4), k)
+
+
+def _acyclic(n, bases, k):
+    """acyclicity_check on the ladder bases of g, n + 4 levels or to the
+    first zero space."""
+    return all(_cohomology_dim(n, s, bases, r) == 0
+               for r in range(min(len(bases), n + 3)) if bases[r]
                for s in range(1, k + 1))
 
 
@@ -297,6 +302,22 @@ def classical_dims(family, n):
         raise UnsupportedDimension(
             f"{family} n={n}: table {dims} is not an exact sequence")
     return {"family": family, "n": n, "dims": dims, "orders": orders}
+
+
+def symbol_counts(family, n):
+    """The counts `diffmod spencer` prints beside the Killing or conformal
+    table, all read off one ladder g_q, ..., g_{q+n+4} of the symbol:
+    H2 and H3 of g_q for Killing; dim g_{q+2} (ghat3_dim), H3 of g_q
+    (H3_ghat1) and whether g_{q+1} is 2-acyclic for conformal.  The
+    ladder of g_{q+1} is this one without its first level."""
+    g = {"killing": killing_symbol, "conformal": conformal_symbol}[family](n)
+    bases = g.ladder(n + 5)
+    if family == "killing":
+        return {"H2": _cohomology_dim(n, 2, bases, 0),
+                "H3": _cohomology_dim(n, 3, bases, 0)}
+    return {"ghat3_dim": len(bases[2]) if len(bases) > 2 else 0,
+            "H3_ghat1": _cohomology_dim(n, 3, bases, 0),
+            "ghat2_2acyclic": _acyclic(n, bases[1:], 2)}
 
 
 def conformal_diagram_dims(n=5):

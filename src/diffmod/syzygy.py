@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .field import DiffmodError, ResourceLimit, Session
-from .janet import InvolutiveBasis, _TermKeys, complete, lead_term
+from .janet import InvolutiveBasis, complete, lead_term
 from .ops import DEFAULT_ORDER, OpMatrix
 
 
@@ -119,21 +119,20 @@ class DiffSequence:
         return sum((-1) ** i * d for i, d in enumerate(dims))
 
 
-def classify_operator(A, basis, order=None):
+def classify_operator(A, basis):
     """(formally_integrable, involutive) flags of A from its completion.
 
     Involutive means completion returns the autoreduced input unchanged:
     every basis lead already appears among the input rows' leads.  A
     basis of None stands for an operator that needs no completion (zero,
-    or without rows or columns); it is both.
+    or without rows or columns); it is both.  The leads are compared
+    under the basis's term order.
     """
     if basis is None:
         return True, True
-    order = order or DEFAULT_ORDER
     formally_integrable = not basis.trace.integrability_conditions
-    added = {r.lead(basis._key) for r in basis._rows}
-    key = _TermKeys(order).__getitem__
-    input_leads = {lead_term(A.row(i), key) for i in range(A.rows)}
+    added = {r.lead(basis._terms) for r in basis._rows}
+    input_leads = {lead_term(A.row(i), basis._key) for i in range(A.rows)}
     involutive = added <= input_leads
     return formally_integrable, involutive
 
@@ -156,7 +155,7 @@ def build_sequence(A, max_steps=None, order=None, session=None):
     terminated = False
     while True:
         cc, basis = _cc_and_completion(ops[-1], order, session)
-        fi, inv = classify_operator(ops[-1], basis, order)
+        fi, inv = classify_operator(ops[-1], basis)
         per_op.append({"formally_integrable": fi, "involutive": inv,
                        "order": ops[-1].order})
         if cc.rows == 0:

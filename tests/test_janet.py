@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import random
@@ -5,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from diffmod import janet
 from diffmod.field import DiffField, ResourceLimit, Session
@@ -219,6 +221,21 @@ def test_a_basis_with_sources_adds_only_its_input():
         basis.add(OpMatrix.from_rows(field, [matrix.row(0)], matrix.cols))
 
 
+def _packed(terms, block):
+    """A list of term dicts, one per column, as one dict of packed terms."""
+    return {terms[(j, mu)]: v for j, e in enumerate(block)
+            for mu, v in e.items()}
+
+
+def _unpacked(terms, block, width):
+    """A dict of packed terms as a list of width term dicts."""
+    out = [{} for _ in range(width)]
+    for t, v in block.items():
+        j, mu = terms.unpack(t)
+        out[j][mu] = v
+    return out
+
+
 def test_one_pass_step_matches_composition():
     """_Row.sub_multiple(1, c, kappa, b) is a - (c d^kappa) o b on the op
     and the src block.  Under d1^3 d2 the coefficient x1**2 of b keeps its
@@ -227,13 +244,14 @@ def test_one_pass_step_matches_composition():
     G = DiffField(2, func_params=["a"])
     a = G.ratfunc("a")
     da = a.derive(1)
+    packing = janet._Terms(DEFAULT_ORDER, 2)
 
     def op(*terms):
         return ScalarOp(G, dict(terms))
 
     def row_of(op_block, src_block):
-        return janet._Row([e.terms for e in op_block],
-                          [e.terms for e in src_block])
+        return janet._Row(_packed(packing, [e.terms for e in op_block]),
+                          _packed(packing, [e.terms for e in src_block]))
 
     b_op = [op(((0, 0), "x1**2"), ((1, 0), a)), op(((0, 1), da), ((0, 0), 3))]
     b_src = [op(((0, 0), "1/x2")), op(((1, 1), "x1*x2"))]
@@ -244,9 +262,10 @@ def test_one_pass_step_matches_composition():
     for c, kappa in ((G.ratfunc("x1"), (3, 1)), (da, (1, 0)),
                      (G.ratfunc(-2), (0, 0)), (G.ratfunc("x2/x1"), (0, 2))):
         mono = ScalarOp.monomial(G, kappa, c)
-        got = row.sub_multiple(G.one, c, kappa, b)
-        for block, left, right in ((got.op, row_op, b_op),
-                                   (got.src, row_src, b_src)):
+        got = row.sub_multiple(G.one, c, kappa, b, packing)
+        for packed, left, right in ((got.op, row_op, b_op),
+                                    (got.src, row_src, b_src)):
+            block = _unpacked(packing, packed, 2)
             want = [x - mono * y for x, y in zip(left, right)]
             assert block == [e.terms for e in want]
             # and as operators acting on a section: a(f) - c d^kappa(b(f))
@@ -263,16 +282,23 @@ def test_integer_step_is_a_multiple_of_the_field_step():
     is a w - c d^kappa o b divided by a positive integer: a nonzero
     constant times the step w - (c / a) d^kappa o b over K, with coprime
     coefficients over both blocks."""
-    b = janet._Row([{(1, 0): 6, (0, 1): -4}, {(0, 0): 10}], [{(0, 0): 2}, {}])
-    w = janet._Row([{(2, 1): 9, (1, 1): 3}, {(1, 0): 15}], [{}, {(1, 1): 6}])
+    terms = janet._Terms(DEFAULT_ORDER, 2)
+
+    def row_of(op_block, src_block):
+        return janet._Row(_packed(terms, op_block), _packed(terms, src_block))
+
+    b = row_of([{(1, 0): 6, (0, 1): -4}, {(0, 0): 10}], [{(0, 0): 2}, {}])
+    w = row_of([{(2, 1): 9, (1, 1): 3}, {(1, 0): 15}], [{}, {(1, 1): 6}])
     a = 6
     for c, kappa in ((9, (1, 1)), (3, (0, 0)), (-15, (1, 0)), (7, (0, 2))):
-        got = w.sub_multiple(a, c, kappa, b)
-        coeffs = [v for e in got.op + got.src for v in e.values()]
+        got = w.sub_multiple(a, c, kappa, b, terms)
+        coeffs = [*got.op.values(), *got.src.values()]
         assert math.gcd(*coeffs) == 1
         scale = set()
         for block, left, right in ((got.op, w.op, b.op),
                                    (got.src, w.src, b.src)):
+            block, left, right = (_unpacked(terms, x, 2)
+                                  for x in (block, left, right))
             want = [dict(x) for x in left]
             for x, y in zip(want, right):
                 for mu, v in y.items():
@@ -321,7 +347,7 @@ def _linear_reducer(basis, term):
     scan over every row."""
     j, mu = term
     for r, mult in zip(basis._rows, basis._mult):
-        col, lam = r.lead(basis._key)
+        col, lam = r.lead(basis._terms)
         if col == j and mono_le(lam, mu):
             kappa = mono_sub(mu, lam)
             if all(k == 0 or i + 1 in mult for i, k in enumerate(kappa)):
@@ -330,22 +356,23 @@ def _linear_reducer(basis, term):
 
 
 def _rescanned_normal_form(basis, row, budget, tail=False):
-    """reduce_row as a full rescan: after every step all terms are sorted
-    again from the top and searched with the linear reducer."""
-    key = basis._key
-    skip = row.lead(key) if tail else None
+    """reduce_row as a full rescan: after every step all terms are
+    unpacked, sorted again from the top by the term order's module_key
+    and searched with the linear reducer."""
+    terms = basis._terms
+    skip = row.lead(terms) if tail else None
     work = row
     while True:
-        terms = sorted((t for t in ((j, mu) for j, e in enumerate(work.op)
-                                    for mu in e) if t != skip),
-                       key=key, reverse=True)
-        hit = next(((t, found) for t in terms
+        ordered = sorted((t for t in map(terms.unpack, work.op) if t != skip),
+                         key=basis.order.module_key, reverse=True)
+        hit = next(((t, found) for t in ordered
                     if (found := _linear_reducer(basis, t)) is not None),
                    None)
         if hit is None:
             return work
-        (j, mu), (r, kappa) = hit
-        work = work.sub_multiple(r.lead_coeff(key), work.op[j][mu], kappa, r)
+        t, (r, kappa) = hit
+        work = work.sub_multiple(r.lead_coeff(), work.op[basis._key(t)],
+                                 kappa, r, terms)
         budget.tick()
 
 
@@ -491,6 +518,105 @@ def test_a_basis_over_zz_grown_by_an_x_row_matches_its_completion():
         assert sorted((r.lead, str(r.op)) for r in grown.rows) == \
             sorted((r.lead, str(r.op)) for r in full.rows), seed
         assert grown.verify_involutive(), seed
+
+
+def _full_janet_data(basis):
+    """_mult and _divisors of basis recomputed for every column, on a
+    copy."""
+    full = copy.copy(basis)
+    full._assign_mult()
+    return full._mult, full._divisors
+
+
+class _CheckedBasis(InvolutiveBasis):
+    """A basis that checks after each insertion that the Janet data it
+    updated for one column equals a full recomputation, and counts the
+    insertions, those into a basis with leads in other columns too, and
+    those that displaced rows."""
+
+    counts = None
+
+    def _insert(self, h):
+        displaced = super()._insert(h)
+        assert (self._mult, self._divisors) == _full_janet_data(self)
+        for name, hit in (("insertions", True),
+                          ("other columns", len(self._divisors) > 1),
+                          ("displacing", bool(displaced))):
+            self.counts[name] = self.counts.get(name, 0) + hit
+        return displaced
+
+
+def test_janet_data_of_one_column_matches_a_full_recomputation():
+    """An insertion recomputes the multiplicative variables of its own
+    column only and moves the other rows' data to their new positions;
+    growing bases one input row at a time with add, on the corpus
+    problems and 40 seeded systems, gives after every insertion and every
+    add the _mult and _divisors a full recomputation gives."""
+    _CheckedBasis.counts = counts = {}
+    adds = 0
+    for label, A, order, session in _problems(range(40)):
+        basis = _CheckedBasis(OpMatrix.zero(A.field, 0, A.cols),
+                              order, session)
+        for i in range(A.rows):
+            basis.add(OpMatrix.from_rows(A.field, [A.row(i)], A.cols))
+            assert (basis._mult, basis._divisors) == \
+                _full_janet_data(basis), (label, i)
+            adds += 1
+    assert adds > 100 and counts["insertions"] > adds
+    assert counts["other columns"] > 50 and counts["displacing"] > 10
+
+
+def _exponents(n, top):
+    return st.tuples(*[st.one_of(st.integers(0, 3), st.integers(0, top))
+                       for _ in range(n)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.sampled_from(["degrevlex", "deglex", "lex"]),
+    st.permutations(range(1, n + 1)),
+    st.lists(st.tuples(st.integers(0, 5), _exponents(n, 5000)),
+             min_size=2, max_size=6),
+    _exponents(n, 300))))
+def test_packed_terms_are_in_term_order_and_shift_by_addition(args):
+    """A packed term unpacks to itself, integer order is the module_key
+    order of the terms, and multiplying by d^kappa adds pack(0, kappa),
+    for every kind of order, var_seq permutation, n = 1..6 and columns
+    0..5, with exponents up to 5000."""
+    kind, seq, ts, kappa = args
+    order = TermOrder(kind, tuple(seq))
+    terms = janet._Terms(order, len(seq))
+    packed = [terms.pack(col, mu) for col, mu in ts]
+    shift = terms.pack(0, kappa)
+    for t, p in zip(ts, packed):
+        assert terms.unpack(p) == t
+        col, mu = t
+        moved = (col, tuple(a + b for a, b in zip(mu, kappa)))
+        assert terms.pack(*moved) == p + shift
+        assert terms.unpack(p + shift) == moved
+    for (s, p), (t, q) in itertools.product(zip(ts, packed), repeat=2):
+        assert (p < q) == (order.module_key(s) < order.module_key(t))
+        assert (p == q) == (s == t)
+
+
+@pytest.mark.parametrize("kind", ["degrevlex", "deglex", "lex"])
+def test_packing_refuses_a_digit_of_two_to_the_fifteen(kind):
+    """pack raises ResourceLimit on an exponent or a column of 2**15, and
+    unpack on an int whose digits went past it."""
+    for n in range(1, 7):
+        terms = janet._Terms(TermOrder(kind), n)
+        for i in range(n):
+            mu = tuple(2 ** 15 * (k == i) for k in range(n))
+            with pytest.raises(ResourceLimit, match="packing bound"):
+                terms.pack(0, mu)
+            below = tuple(m - (k == i) for k, m in enumerate(mu))
+            top = terms.pack(0, below)
+            assert terms.unpack(top) == (0, below)
+            one = tuple(int(k == i) for k in range(n))
+            with pytest.raises(ResourceLimit, match="packing bound"):
+                terms.unpack(top + terms.pack(0, one))
+        with pytest.raises(ResourceLimit, match="packing bound"):
+            terms.pack(2 ** 15, (0,) * n)
 
 
 def test_prolongation_order_budget_raises_resource_limit(monkeypatch):

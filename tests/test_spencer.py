@@ -9,7 +9,7 @@ from diffmod.spencer import (SymbolSpace, UnsupportedDimension, _delta,
                              conformal_diagram_dims, conformal_symbol,
                              contact_bundle_dim, delta_cohomology_dim,
                              killing_symbol, rank, sym_dim, sym_monos,
-                             wedge_sets)
+                             symbol_counts, wedge_sets)
 
 
 def closed_h2(n):
@@ -202,6 +202,24 @@ def test_long_symbol_sequence_rank_bookkeeping():
         f2 = delta_cohomology_dim(g, 3, 0)
         total = (sym_dim(n, 4) * n - sym_dim(n, 3) * f0 + n * f1 - f2)
         assert total == 0
+
+
+@pytest.mark.parametrize("family,n", [("killing", 2), ("killing", 3),
+                                      ("killing", 5), ("conformal", 3),
+                                      ("conformal", 4), ("conformal", 5)])
+def test_symbol_counts_of_one_ladder_are_the_separate_counts(family, n):
+    """symbol_counts reads every count off one ladder; each equals the
+    count computed on its own symbol space."""
+    if family == "killing":
+        g = killing_symbol(n)
+        want = {"H2": delta_cohomology_dim(g, 2, 0),
+                "H3": delta_cohomology_dim(g, 3, 0)}
+    else:
+        g = conformal_symbol(n)
+        want = {"ghat3_dim": g.prolong(2).dim,
+                "H3_ghat1": delta_cohomology_dim(g, 3, 0),
+                "ghat2_2acyclic": acyclicity_check(g.prolong(1), 2)}
+    assert symbol_counts(family, n) == want
 
 
 def test_potential_identification_only_n4():
