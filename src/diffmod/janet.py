@@ -41,14 +41,15 @@ Inside the engine a term (column, monomial) is one int, packed by
 `_Terms` so that integer order is the basis's term order and a shift by
 d^kappa adds the packed kappa: a row's lead is the max of its keys, a
 reduction sorts plain ints, and an integer step is one addition per
-term.  The packing writes the components of the term order's module key
-as balanced base-2**16 digits, so it holds while every exponent, total
-order and column stays below 2**15; packing a larger term, or unpacking
-an int whose digits overflowed, raises ResourceLimit, far above any
-order a completion reaches within its budgets.  Terms are packed only
-where rows enter (`_row`) and unpacked where they leave (`_boundary`),
-and for the reducer search and the Janet data, which read the monomial
-of a term.
+term (packed exponent vectors, as in M. Monagan, R. Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors",
+CASC 2007).  The packing writes the components of the term order's
+module key as balanced base-2**16 digits, so it holds while every
+exponent, total order and column stays below 2**15; packing a larger
+term, or unpacking an int whose digits overflowed, raises
+ResourceLimit.  Terms are packed where rows enter (`_row`) and unpacked
+where they leave (`_boundary`); inside, only the reducer search and the
+Janet data unpack a term, to read its monomial.
 """
 
 from __future__ import annotations
