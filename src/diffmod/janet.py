@@ -33,9 +33,15 @@ each row made monic as at the boundary, and a basis never moves back.
 
 Every step over ZZ is a nonzero constant times the step over K, so both
 rings make the same steps and meet the same leads.  Everything that
-leaves the engine is over K: `rows`, `matrix()`, `src_matrix()`,
-`normal_form` and the trace.  Basis rows and integrability conditions
-come out monic, so they are the rows a reduction over K gives.
+leaves the engine is over K: `matrix()`, `src_matrix()`, `normal_form`
+and the trace.  Basis rows and integrability conditions come out monic,
+so they are the rows a reduction over K gives.
+
+A basis row carries its own Janet data: its prolonged set and its
+multiplicative variables.  The reducer index of each column holds the
+rows themselves, so rows are updated in place: tail reduction writes the
+reduced blocks into the row, and the move to K converts each row where
+it stands.
 
 Inside the engine a term (column, monomial) is one int, packed by
 `_Terms` so that integer order is the basis's term order and a shift by
@@ -237,18 +243,20 @@ class _Row:
     """Augmented module row: op over the unknowns, src over the inputs.
 
     Each block is one dict, packed term (see _Terms) to coefficient, the
-    coefficients ints over ZZ and field elements over K.  prolonged holds
-    the variables the row has been prolonged by as a basis row; a new row
-    starts with none.
+    coefficients ints over ZZ and field elements over K.  As a basis row
+    it carries its Janet data: prolonged, the variables it has been
+    prolonged by, and mult, its multiplicative variables; a new row
+    starts with none of either.
     """
 
-    __slots__ = ("op", "src", "_top", "prolonged")
+    __slots__ = ("op", "src", "_top", "prolonged", "mult")
 
     def __init__(self, op, src):
         self.op = op
         self.src = src
         self._top = None
         self.prolonged = set()
+        self.mult = None
 
     @property
     def top(self):
@@ -264,34 +272,25 @@ class _Row:
         top = self.top
         return None if top is None else terms.unpack(top)
 
-    @property
-    def op_is_zero(self):
-        return not self.op
-
-    @property
-    def src_is_zero(self):
-        return not self.src
-
     def lead_coeff(self):
         return self.op[self.top]
 
     def lead_order(self, terms):
         return mono_order(self.lead(terms)[1])
 
-    def _map(self, f):
-        """The row with f applied to each block; same lead."""
-        row = _Row(f(self.op), None if self.src is None else f(self.src))
-        row._top = self._top
-        return row
+    def apply(self, f):
+        """Apply f to each block in place; the lead stays."""
+        self.op = f(self.op)
+        if self.src is not None:
+            self.src = f(self.src)
 
-    def primitive(self):
-        """Over ZZ: the row divided by the content of both blocks."""
+    def make_primitive(self):
+        """Over ZZ: divide the row by the content of both blocks."""
         g = math.gcd(*self.op.values())
         if g != 1 and self.src:
             g = math.gcd(g, *self.src.values())
-        if g in (0, 1):
-            return self
-        return self._map(lambda e: {t: v // g for t, v in e.items()})
+        if g not in (0, 1):
+            self.apply(lambda e: {t: v // g for t, v in e.items()})
 
     def sub_multiple(self, a, c, kappa, other, terms):
         """a * self - c * d^kappa o other on both blocks, in one pass, with
@@ -311,7 +310,9 @@ class _Row:
         src = (None if self.src is None else
                _combine(self.src, a, c, kappa, other.src, terms))
         row = _Row(op, src)
-        return row.primitive() if zz else row
+        if zz:
+            row.make_primitive()
+        return row
 
 
 @dataclass
@@ -319,21 +320,6 @@ class CompletionTrace:
     steps: list = dc_field(default_factory=list)
     integrability_conditions: list = dc_field(default_factory=list)
     cc_rows: list = dc_field(default_factory=list)
-
-
-@dataclass(eq=False)
-class JanetRow:
-    """One basis row with its Janet data."""
-
-    op: list
-    src: list | None
-    lead: tuple
-    mult_vars: frozenset
-    class_label: int
-
-    def __repr__(self):
-        col, mu = self.lead
-        return f"JanetRow(lead={mono_str(mu) or '1'}@{col}, mult={sorted(self.mult_vars)})"
 
 
 # Reductions one add or one tail reduction may make; prolongations stop at
@@ -363,7 +349,9 @@ class InvolutiveBasis:
     track_src every row also records itself as a D-combination of the
     input rows, so such a basis adds its input and nothing else; without
     it the basis can grow by any rows.  A new basis is over ZZ; see the
-    module docstring for the ring of a basis.
+    module docstring for the ring of a basis.  Each row carries its
+    Janet data, and rows are updated in place, so the reducer index
+    holds the rows themselves.
     """
 
     def __init__(self, input_matrix, order, session, track_src=False):
@@ -375,9 +363,8 @@ class InvolutiveBasis:
         self.track_src = track_src
         self.trace = CompletionTrace()
         self._zz = True                # the ring of the rows: ZZ, else K
-        self._rows = []                # list of _Row, with mult vars
-        self._mult = []                # parallel list of frozensets
-        self._divisors = {}            # col -> [(position, lead, nonmult)]
+        self._rows = []                # list of _Row, with Janet data
+        self._divisors = {}            # col -> [(row, lead, nonmult)]
         self._q = 0                    # highest order added
         self._terms = _Terms(order, self.field.n)
         self._key = self._terms.__getitem__   # (col, mu) -> packed term
@@ -389,7 +376,8 @@ class InvolutiveBasis:
         lists of operators, is not a rational constant."""
         if self._zz and any(c._q is None for row in op_rows for e in row
                             for c in e.terms.values()):
-            self._rows = [self._over_k(r) for r in self._rows]
+            for r in self._rows:
+                r.apply(self._to_k(r, monic=True))
             self._zz = False
 
     def _row(self, op, src=None):
@@ -403,13 +391,13 @@ class InvolutiveBasis:
                     for mu, c in e.terms.items()}
 
         row = _Row(packed(op), None if src is None else packed(src))
-        if not self._zz:
-            return row
-        lcm = math.lcm(*(c._q.denominator for c in
-                         chain(row.op.values(), (row.src or {}).values())))
-        return row._map(lambda e: {
-            t: c._q.numerator * (lcm // c._q.denominator)
-            for t, c in e.items()})
+        if self._zz:
+            lcm = math.lcm(*(c._q.denominator for c in
+                             chain(row.op.values(), (row.src or {}).values())))
+            row.apply(lambda e: {
+                t: c._q.numerator * (lcm // c._q.denominator)
+                for t, c in e.items()})
+        return row
 
     def _to_k(self, row, monic):
         """The map taking a block of row, over ZZ, to K: field constants,
@@ -417,12 +405,6 @@ class InvolutiveBasis:
         const = self.field._constant
         a = row.lead_coeff() if monic else 1
         return lambda e: {t: const(Fraction(v, a)) for t, v in e.items()}
-
-    def _over_k(self, row):
-        """A basis row over ZZ as a monic row over K, same prolonged set."""
-        out = row._map(self._to_k(row, monic=True))
-        out.prolonged = row.prolonged
-        return out
 
     def _boundary(self, row, monic, block="op"):
         """One block of row, "op" or "src", over K as a list of operators,
@@ -442,17 +424,17 @@ class InvolutiveBasis:
         return [ScalarOp._of(self.field, e) for e in out]
 
     def _basis_row(self, h):
-        """h as a new basis row, prolonged by no variable yet: primitive
-        over ZZ, monic over K, its lead coefficient checked as a pivot."""
+        """Make h, a row no basis holds, a new basis row in place,
+        prolonged by no variable yet: primitive over ZZ, monic over K, its
+        lead coefficient checked as a pivot."""
         if self._zz:
-            row = h.primitive()
+            h.make_primitive()
         else:
             c = h.lead_coeff()
             self.session.check_pivot(c)
             inv = c.inverse()
-            row = h._map(lambda e: {t: v * inv for t, v in e.items()})
-        row.prolonged = set()
-        return row
+            h.apply(lambda e: {t: v * inv for t, v in e.items()})
+        h.prolonged = set()
 
     def _prolong(self, r, i):
         """d_i o r, on the src block too if r has one."""
@@ -472,41 +454,19 @@ class InvolutiveBasis:
             leads.setdefault(col, []).append(mu)
         return leads
 
-    def _assign_mult(self, col=None):
-        """Multiplicative variables of every row, and the reducer index:
-        per column, each row's position, lead monomial and the 0-based
-        positions of its nonmultiplicative variables, in row order.
-
-        With col set, only that column's leads have changed since the
-        last assignment, and _mult holds the old assignment of every other
-        row at its new position: only col's rows are recomputed.
-        """
+    def _assign_mult(self, col):
+        """The Janet data of column col, whose leads have changed: the
+        multiplicative variables of each of its rows, and its reducer
+        index, each row with its lead monomial and the 0-based positions
+        of its nonmultiplicative variables, in row order.  The data of
+        other columns depends only on their own leads."""
+        rows = [r for r in self._rows if r.lead(self._terms)[0] == col]
+        mus = [r.lead(self._terms)[1] for r in rows]
         seq = self.order.seq(self.field.n)
-        leads = [r.lead(self._terms) for r in self._rows]
-        changed = {}
-        for c, mu in leads:
-            if col is None or c == col:
-                changed.setdefault(c, []).append(mu)
-        mult = {c: dict(zip(mus, janet_multiplicative(mus, seq)))
-                for c, mus in changed.items()}
-        old, self._mult, self._divisors = self._mult, [], {}
-        for pos, (c, mu) in enumerate(leads):
-            m = mult[c][mu] if c in mult else old[pos]
-            self._mult.append(m)
-            self._divisors.setdefault(c, []).append(
-                (pos, mu, [i for i in range(len(mu)) if i + 1 not in m]))
-
-    @property
-    def rows(self):
-        """The basis rows over K, monic."""
-        seq = self.order.seq(self.field.n)
-        out = []
-        for r, mult in zip(self._rows, self._mult):
-            lead = r.lead(self._terms)
-            out.append(JanetRow(self._boundary(r, monic=True),
-                                self._boundary(r, monic=True, block="src"),
-                                lead, mult, _class_label(lead[1], seq)))
-        return out
+        self._divisors[col] = index = []
+        for r, mu, m in zip(rows, mus, janet_multiplicative(mus, seq)):
+            r.mult = m
+            index.append((r, mu, [i for i in range(len(mu)) if i + 1 not in m]))
 
     def __len__(self):
         return len(self._rows)
@@ -532,12 +492,11 @@ class InvolutiveBasis:
 
     def _reducer(self, term):
         """The first row, in basis order, whose lead involutively divides
-        term, with the quotient monomial; rows are looked up by position,
-        so tail_reduce may replace them in place."""
+        term, with the quotient monomial."""
         j, mu = term
-        for pos, lam, nonmult in self._divisors.get(j, ()):
+        for r, lam, nonmult in self._divisors.get(j, ()):
             if mono_le(lam, mu) and all(mu[i] == lam[i] for i in nonmult):
-                return self._rows[pos], mono_sub(mu, lam)
+                return r, mono_sub(mu, lam)
         return None
 
     def reduce_row(self, row, budget=None, tail=False):
@@ -593,9 +552,9 @@ class InvolutiveBasis:
     def verify_involutive(self):
         """Janet criterion: every nonmultiplicative prolongation reduces to 0."""
         return all(
-            self.reduce_row(self._prolong(_Row(r.op, None), i)).op_is_zero
-            for r, mult in zip(self._rows, self._mult)
-            for i in range(1, self.field.n + 1) if i not in mult)
+            not self.reduce_row(self._prolong(_Row(r.op, None), i)).op
+            for r in self._rows
+            for i in range(1, self.field.n + 1) if i not in r.mult)
 
     # -- completion -------------------------------------------------------
 
@@ -628,9 +587,9 @@ class InvolutiveBasis:
                    if self.track_src else None)
             row = self._row(op, src)
             origin = f"input {A.row_labels[i]}"
-            if not row.op_is_zero:
+            if row.op:
                 pending.append((row, None, origin))
-            elif not row.src_is_zero:
+            elif row.src:
                 trace.cc_rows.append(
                     self._boundary(row, monic=False, block="src"))
                 trace.steps.append({"event": "cc", "from": origin})
@@ -643,8 +602,8 @@ class InvolutiveBasis:
             pending.sort(key=lambda item: item[0].top)
             row, expected, origin = pending.pop(0)
             h = self.reduce_row(row, budget)
-            if h.op_is_zero:
-                if not h.src_is_zero:
+            if not h.op:
+                if h.src:
                     trace.cc_rows.append(
                         self._boundary(h, monic=False, block="src"))
                     trace.steps.append({"event": "cc", "from": origin})
@@ -652,7 +611,7 @@ class InvolutiveBasis:
                     trace.steps.append({"event": "zero", "from": origin})
                 continue
             lead_ord = h.lead_order(terms)
-            h = self._basis_row(h)
+            self._basis_row(h)
             if expected is not None and lead_ord < expected:
                 trace.integrability_conditions.append(OpMatrix.from_rows(
                     field, [self._boundary(h, monic=True)], self.ncols,
@@ -681,28 +640,28 @@ class InvolutiveBasis:
         if len(needed) < len(self._rows):
             self._rows = [r for r in self._rows
                           if r.lead(self._terms) in needed]
-            self._assign_mult()
+            for col in self._leads():
+                self._assign_mult(col)
 
     def _insert(self, h):
         """Put h in the basis; return the rows whose lead h's lead divides."""
         col, mu = h.lead(self._terms)
         kept, displaced = [], []
-        for b, m in zip(self._rows, self._mult):
+        for b in self._rows:
             c, lam = b.lead(self._terms)
             if c == col and mono_le(mu, lam):
                 displaced.append(b)
             else:
-                kept.append((b, m))
-        self._rows = [b for b, _ in kept] + [h]
-        self._mult = [m for _, m in kept] + [None]
+                kept.append(b)
+        self._rows = kept + [h]
         self._assign_mult(col)
         return displaced
 
     def _next_prolongation(self, budget):
         """The first nonmultiplicative prolongation no row has made yet."""
-        for r, mult in zip(self._rows, self._mult):
+        for r in self._rows:
             for i in range(1, self.field.n + 1):
-                if i in mult or i in r.prolonged:
+                if i in r.mult or i in r.prolonged:
                     continue
                 r.prolonged.add(i)
                 budget.check_order(r.lead_order(self._terms) + 1)
@@ -711,7 +670,7 @@ class InvolutiveBasis:
         return None
 
     def tail_reduce(self):
-        """Reduce every row below its lead; leads and prolonged sets stay.
+        """Reduce every row below its lead in place; its Janet data stays.
 
         A row can never reduce its own tail (tail terms are smaller than
         its lead), so the full Janet assignment is safe to use throughout;
@@ -719,12 +678,9 @@ class InvolutiveBasis:
         reduced row keeps its lead but not its lead coefficient.
         """
         budget = _Budget(2 * self._q + 6)
-        for idx, r in enumerate(list(self._rows)):
+        for r in self._rows:
             work = self.reduce_row(r, budget, tail=True)
-            if work is not r:
-                work._top = r.top
-                work.prolonged = r.prolonged
-                self._rows[idx] = work
+            r.op, r.src = work.op, work.src
 
 
 def complete(A, order=None, session=None, track_src=False,
@@ -766,12 +722,12 @@ def janet_board(basis):
     """Per-row multiplicative variables and class, like the boxed boards."""
     seq = basis.order.seq(basis.field.n)
     board = []
-    for r, mult in zip(basis._rows, basis._mult):
+    for r in basis._rows:
         col, mu = r.lead(basis._terms)
         board.append({
             "lead": (mono_str(mu) or "1") + f"({basis.input.col_labels[col]})",
-            "mult_vars": sorted(mult),
-            "nonmult_vars": sorted(set(range(1, basis.field.n + 1)) - mult),
+            "mult_vars": sorted(r.mult),
+            "nonmult_vars": sorted(set(range(1, basis.field.n + 1)) - r.mult),
             "class": _class_label(mu, seq),
         })
     return board
@@ -790,9 +746,11 @@ def board_of_matrix(A, order=None, session=None):
     basis._admit(op_rows)
     for op in op_rows:
         r = basis._row(op)
-        if not r.op_is_zero:
-            basis._rows.append(basis._basis_row(r))
-    basis._assign_mult()
+        if r.op:
+            basis._basis_row(r)
+            basis._rows.append(r)
+    for col in basis._leads():
+        basis._assign_mult(col)
     return janet_board(basis)
 
 

@@ -37,7 +37,7 @@ def mono_binom(a, b):
         out *= math.comb(x, y)
     return out
 
-def mono_str(mu, style="d"):
+def mono_str(mu):
     """Render a derivative multi-index, e.g. (1,0,2) -> 'd133'."""
     if all(m == 0 for m in mu):
         return ""
@@ -45,8 +45,8 @@ def mono_str(mu, style="d"):
     for i, m in enumerate(mu, start=1):
         digits.extend([i] * m)
     if len(mu) <= 9:
-        return style + "".join(str(i) for i in digits)
-    return style + "(" + ",".join(str(i) for i in digits) + ")"
+        return "d" + "".join(str(i) for i in digits)
+    return "d(" + ",".join(str(i) for i in digits) + ")"
 
 
 def _add_into(terms, key, c):

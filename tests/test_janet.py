@@ -1,4 +1,3 @@
-import copy
 import itertools
 import math
 import random
@@ -11,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from diffmod import janet
 from diffmod.field import DiffField, ResourceLimit, Session
 from diffmod.janet import (InvolutiveBasis, board_of_matrix, complete,
-                           count_parametric, janet_board)
+                           count_parametric, janet_board,
+                           janet_multiplicative)
 from diffmod.ops import (DEFAULT_ORDER, OpMatrix, ScalarOp, TermOrder,
                          mono_le, mono_sub)
 from conftest import (CORPUS_PROBLEMS, corpus_session, load_corpus_problem,
@@ -20,6 +20,11 @@ from conftest import (CORPUS_PROBLEMS, corpus_session, load_corpus_problem,
 
 
 F = DiffField(2)
+
+
+def _leads(basis):
+    """The (column, monomial) lead of each basis row, in row order."""
+    return [r.lead(basis._terms) for r in basis._rows]
 
 
 def _pair_16():
@@ -31,8 +36,7 @@ def _pair_16():
 def test_completion_finds_only_the_zero_solution():
     basis = complete(_pair_16())
     assert len(basis) == 1
-    (row,) = basis.rows
-    assert row.lead == (0, (0, 0))
+    assert _leads(basis) == [(0, (0, 0))]
     count = count_parametric(basis)
     assert count.finite_type and count.dim == 0
 
@@ -73,12 +77,10 @@ def test_completion_idempotent_on_prolonged_isometry():
     basis = complete(matrix)
     prolonged = basis.matrix()
     again = complete(prolonged)
-    assert {r.lead for r in basis.rows} == {r.lead for r in again.rows}
+    assert set(_leads(basis)) == set(_leads(again))
     assert len(basis) == len(again)
-    for r in again.rows:
-        assert basis.contains(r.op)
-    for r in basis.rows:
-        assert again.contains(r.op)
+    assert basis.contains_matrix(again.matrix())
+    assert again.contains_matrix(basis.matrix())
 
 
 def test_unexpected_reduction_identity():
@@ -207,8 +209,7 @@ def test_grown_basis_matches_completion():
                                 DEFAULT_ORDER, Session(A.field))
         for i in range(A.rows):
             grown.add(OpMatrix.from_rows(A.field, [A.row(i)], A.cols))
-        assert sorted(r.lead for r in grown.rows) == \
-            sorted(r.lead for r in full.rows), seed
+        assert sorted(_leads(grown)) == sorted(_leads(full)), seed
         assert full.contains_matrix(grown.matrix()), seed
         assert grown.contains_matrix(full.matrix()), seed
         assert full.verify_involutive() and grown.verify_involutive(), seed
@@ -333,8 +334,7 @@ def test_tracking_sources_changes_only_the_sources():
         assert plain.src_matrix() is None and not plain.trace.cc_rows, label
         assert tracked.src_matrix() is not None, label
         assert plain.matrix() == tracked.matrix(), label
-        assert ([(r.lead, r.mult_vars) for r in plain.rows]
-                == [(r.lead, r.mult_vars) for r in tracked.rows]), label
+        assert janet_board(plain) == janet_board(tracked), label
         assert (plain.trace.integrability_conditions
                 == tracked.trace.integrability_conditions), label
         assert plain.session.provisos == tracked.session.provisos, label
@@ -346,11 +346,11 @@ def _linear_reducer(basis, term):
     """The first basis row whose lead involutively divides term, by a
     scan over every row."""
     j, mu = term
-    for r, mult in zip(basis._rows, basis._mult):
+    for r in basis._rows:
         col, lam = r.lead(basis._terms)
         if col == j and mono_le(lam, mu):
             kappa = mono_sub(mu, lam)
-            if all(k == 0 or i + 1 in mult for i, k in enumerate(kappa)):
+            if all(k == 0 or i + 1 in r.mult for i, k in enumerate(kappa)):
                 return r, kappa
     return None
 
@@ -437,7 +437,7 @@ def _left_scaled(A, factors):
 
 
 def _completion_record(basis):
-    return (basis.matrix(), [(r.lead, r.mult_vars) for r in basis.rows],
+    return (basis.matrix(), janet_board(basis),
             basis.trace.integrability_conditions,
             sum(s["event"] == "add" for s in basis.trace.steps),
             basis.trace.steps)
@@ -515,55 +515,140 @@ def test_a_basis_over_zz_grown_by_an_x_row_matches_its_completion():
         assert not grown._zz
         grown.tail_reduce()
         full = complete(A.stack(extra))
-        assert sorted((r.lead, str(r.op)) for r in grown.rows) == \
-            sorted((r.lead, str(r.op)) for r in full.rows), seed
+        assert sorted(zip(_leads(grown), map(str, grown.matrix().entries))) \
+            == sorted(zip(_leads(full), map(str, full.matrix().entries))), seed
         assert grown.verify_involutive(), seed
 
 
 def _full_janet_data(basis):
-    """_mult and _divisors of basis recomputed for every column, on a
-    copy."""
-    full = copy.copy(basis)
-    full._assign_mult()
-    return full._mult, full._divisors
+    """The multiplicative variables of each row of basis and the reducer
+    index of each column, recomputed from the leads of all rows with
+    janet_multiplicative; nothing is written to the basis."""
+    seq = basis.order.seq(basis.field.n)
+    by_col = {}
+    for r, (col, mu) in zip(basis._rows, _leads(basis)):
+        by_col.setdefault(col, []).append((r, mu))
+    mult, index = {}, {}
+    for col, entries in by_col.items():
+        mus = [mu for _, mu in entries]
+        for (r, mu), m in zip(entries, janet_multiplicative(mus, seq)):
+            mult[id(r)] = m
+            index.setdefault(col, []).append(
+                (r, mu, [i for i in range(len(mu)) if i + 1 not in m]))
+    return [mult[id(r)] for r in basis._rows], index
+
+
+def _check_janet_data(basis):
+    """Every row the reducer index names is a row of the basis, and the
+    Janet data on the rows and in the index is the recomputed one."""
+    rows = {id(r) for r in basis._rows}
+    assert all(id(r) in rows for entries in basis._divisors.values()
+               for r, _, _ in entries)
+    assert ([r.mult for r in basis._rows], basis._divisors) == \
+        _full_janet_data(basis)
 
 
 class _CheckedBasis(InvolutiveBasis):
-    """A basis that checks after each insertion that the Janet data it
-    updated for one column equals a full recomputation, and counts the
-    insertions, those into a basis with leads in other columns too, and
-    those that displaced rows."""
+    """A basis that checks its Janet data after every event that rewrites
+    rows: an insertion, a minimality pass, a tail reduction and a move
+    from ZZ to K.  It counts the events, the insertions into a basis with
+    leads in other columns too, those that displaced rows, and the rows a
+    tail reduction changed."""
 
     counts = None
 
+    def _count(self, name, hit=True):
+        self.counts[name] = self.counts.get(name, 0) + hit
+
     def _insert(self, h):
         displaced = super()._insert(h)
-        assert (self._mult, self._divisors) == _full_janet_data(self)
-        for name, hit in (("insertions", True),
-                          ("other columns", len(self._divisors) > 1),
-                          ("displacing", bool(displaced))):
-            self.counts[name] = self.counts.get(name, 0) + hit
+        _check_janet_data(self)
+        self._count("insertions")
+        self._count("other columns", len(self._divisors) > 1)
+        self._count("displacing", bool(displaced))
         return displaced
+
+    def _keep_minimal(self):
+        super()._keep_minimal()
+        _check_janet_data(self)
+        self._count("minimality passes")
+
+    def tail_reduce(self):
+        before = [r.op for r in self._rows]
+        super().tail_reduce()
+        _check_janet_data(self)
+        self._count("tail reductions")
+        self._count("tail-reduced rows",
+                    sum(r.op is not op for r, op in zip(self._rows, before)))
+
+    def _admit(self, op_rows):
+        zz = self._zz
+        super()._admit(op_rows)
+        _check_janet_data(self)
+        self._count("moves to K", zz and not self._zz)
 
 
 def test_janet_data_of_one_column_matches_a_full_recomputation():
-    """An insertion recomputes the multiplicative variables of its own
-    column only and moves the other rows' data to their new positions;
-    growing bases one input row at a time with add, on the corpus
-    problems and 40 seeded systems, gives after every insertion and every
-    add the _mult and _divisors a full recomputation gives."""
+    """An insertion recomputes the Janet data of its own column only, and
+    tail reduction and the move to K rewrite rows in place.  Growing
+    bases one input row at a time with add, on the corpus problems and 40
+    seeded systems, then moving each seeded basis to K by a row
+    x1 d1 + d2 and tail reducing every basis, leaves after every event
+    and every add the Janet data a full recomputation gives, indexing the
+    basis's own rows."""
     _CheckedBasis.counts = counts = {}
     adds = 0
     for label, A, order, session in _problems(range(40)):
-        basis = _CheckedBasis(OpMatrix.zero(A.field, 0, A.cols),
+        field = A.field
+        basis = _CheckedBasis(OpMatrix.zero(field, 0, A.cols),
                               order, session)
         for i in range(A.rows):
-            basis.add(OpMatrix.from_rows(A.field, [A.row(i)], A.cols))
-            assert (basis._mult, basis._divisors) == \
-                _full_janet_data(basis), (label, i)
+            basis.add(OpMatrix.from_rows(field, [A.row(i)], A.cols))
+            _check_janet_data(basis)
             adds += 1
+        if label.startswith("seed"):
+            d1, d2 = [tuple(int(i == k) for i in range(field.n))
+                      for k in (0, 1)]
+            basis.add(OpMatrix(field, [[ScalarOp(field, {d1: "x1", d2: 1})]
+                                       + [ScalarOp.zero(field)]
+                                       * (A.cols - 1)]))
+        basis.tail_reduce()
     assert adds > 100 and counts["insertions"] > adds
+    assert counts["minimality passes"] > adds
     assert counts["other columns"] > 50 and counts["displacing"] > 10
+    assert counts["moves to K"] > 40 and counts["tail reductions"] == 56
+    assert counts["tail-reduced rows"] > 50
+
+
+def test_the_minimality_pass_drops_rows_only_in_grown_bases(monkeypatch):
+    """The premise behind _keep_minimal: a completion from scratch ends
+    minimal, so the pass drops no row there, on the corpus problems and
+    100 seeded systems under degrevlex and lex; a basis grown one input
+    row at a time can end complete but not minimal, and growing 150
+    seeded systems under three orders makes the pass drop rows."""
+    drops = []
+    keep = InvolutiveBasis._keep_minimal
+
+    def counted(self):
+        before = len(self._rows)
+        keep(self)
+        drops.append(before - len(self._rows))
+
+    monkeypatch.setattr(InvolutiveBasis, "_keep_minimal", counted)
+    orders = (DEFAULT_ORDER, TermOrder("lex"))
+    for label, A, _, session in _problems(range(100)):
+        for order in orders:
+            complete(A, order, session.copy())
+    assert len(drops) == 232 and not any(drops)
+    drops.clear()
+    for seed in range(150):
+        A = random_constant_system(seed)
+        for order in orders + (TermOrder("deglex"),):
+            grown = InvolutiveBasis(OpMatrix.zero(A.field, 0, A.cols),
+                                    order, Session(A.field))
+            for i in range(A.rows):
+                grown.add(OpMatrix.from_rows(A.field, [A.row(i)], A.cols))
+    assert len(drops) > 1000 and any(drops)
 
 
 def _exponents(n, top):
