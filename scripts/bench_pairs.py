@@ -25,6 +25,10 @@ FILE collects the workloads of a BENCH_<label>.json:
                    spread (q3 - q1) exceeds the metric's bound times the
                    parent median, and not every change run beats every
                    parent run
+    claim_met      per metric, whether a claimed gain holds: the change
+                   wins at least 9 in 10 of the pairs, and its median is
+                   better than the parent's by more than the parent's
+                   quartile spread (q3 - q1)
 
 Which direction is better, and each metric's bound, come from
 CHANGE_DIR/BENCHMARK.json.
@@ -105,7 +109,7 @@ def summarize(parent_runs, change_runs, better, bounds=None):
         raise ValueError("need the same nonzero number of runs per side")
     names = list(better)
     parent, change = _side(parent_runs, names), _side(change_runs, names)
-    wins, first_wins, ratios, unresolved = {}, {}, {}, []
+    wins, first_wins, ratios, unresolved, claim = {}, {}, {}, [], {}
     for name in names:
         sign = 1 if better[name] == "lower" else -1
         pairs = list(zip(parent[name]["runs"], change[name]["runs"]))
@@ -116,6 +120,8 @@ def summarize(parent_runs, change_runs, better, bounds=None):
         base = parent[name]["median"]
         ratios[name] = round(change[name]["median"] / base, 4) if base else None
         spread = parent[name]["q3"] - parent[name]["q1"]
+        gap = sign * (base - change[name]["median"])
+        claim[name] = 10 * wins[name] >= 9 * len(pairs) and gap > spread
         apart = all(sign * (p - c) > 0 for p in parent[name]["runs"]
                     for c in change[name]["runs"])
         bound = (bounds or {}).get(name)
@@ -124,7 +130,7 @@ def summarize(parent_runs, change_runs, better, bounds=None):
     return {"pairs": len(parent_runs), "parent": parent, "change": change,
             "change_wins": wins, "first_run_wins": first_wins,
             "median_ratio_change_over_parent": ratios,
-            "unresolved": unresolved}
+            "unresolved": unresolved, "claim_met": claim}
 
 
 def parse_args(argv):
@@ -166,7 +172,8 @@ def main(argv):
     print(f"wins {entry['change_wins']}  "
           f"first-run wins {entry['first_run_wins']}  "
           f"ratios {entry['median_ratio_change_over_parent']}  "
-          f"unresolved {entry['unresolved']}")
+          f"unresolved {entry['unresolved']}  "
+          f"claim met {entry['claim_met']}")
     return 0
 
 

@@ -56,6 +56,14 @@ term, or unpacking an int whose digits overflowed, raises
 ResourceLimit.  Terms are packed where rows enter (`_row`) and unpacked
 where they leave (`_boundary`); inside, only the reducer search and the
 Janet data unpack a term, to read its monomial.
+
+A term's packing depends only on the term order and n, and the Janet
+data of a column only on its set of lead monomials and the order's
+var_seq.  So a process keeps one `_Terms` per term order and n
+(`_terms_of`), shared by every basis under it: each term is packed and
+unpacked once per process, and the multiplicative variables and the
+minimal Janet leads of each lead set are computed once.  The tables only
+grow, and no entry depends on the basis that made it.
 """
 
 from __future__ import annotations
@@ -129,8 +137,9 @@ _HALF = 1 << (_DIGIT_BITS - 1)
 
 class _Terms(dict):
     """The packed term of each (column, monomial) term of one term order
-    on n variables, computed once: an int whose integer order is the
-    term order.
+    on n variables, computed once per process: an int whose integer
+    order is the term order.  Every basis under the order shares the one
+    table `_terms_of` gives.
 
     pack writes the components of TermOrder.module_key, flattened, as
     balanced base-2**16 digits, the most significant first: (|mu|, -mu in
@@ -140,11 +149,16 @@ class _Terms(dict):
     turn, so it is module_key order; and each digit is linear in
     (col, mu), so pack(col, mu + kappa) = pack(col, mu) + pack(0, kappa).
     unpack is the inverse, a dict lookup once either way is computed.
+
+    The table also memoizes the Janet data of one column, keyed by its
+    set of lead monomials: `janet_data` and `minimal_leads`.
     """
 
     def __init__(self, order, n):
         super().__init__()
-        seq = order.seq(n)
+        self.seq = seq = order.seq(n)
+        self._mult = {}      # frozenset of leads -> {lead: (mult, nonmult)}
+        self._minimal = {}   # frozenset of leads -> minimal Janet leads
         kinds = {"degrevlex": (True, seq, -1), "deglex": (True, seq[::-1], 1),
                  "lex": (False, seq[::-1], 1)}
         if order.kind not in kinds:
@@ -176,6 +190,43 @@ class _Terms(dict):
     def place(self, t, m):
         """The packed term t multiplied by d^m."""
         return t + self[(0, m)]
+
+    def janet_data(self, leads):
+        """The multiplicative variables of each of leads, the lead
+        monomials of one column, and the 0-based positions of the others:
+        a dict lead -> (frozenset of 1-based variables, list of positions),
+        computed once per set of leads with janet_multiplicative."""
+        key = frozenset(leads)
+        data = self._mult.get(key)
+        if data is None:
+            data = self._mult[key] = {
+                mu: (m, [i for i in range(len(mu)) if i + 1 not in m])
+                for mu, m in zip(key, janet_multiplicative(key, self.seq))}
+        return data
+
+    def minimal_leads(self, leads):
+        """minimal_janet_leads of leads, the lead monomials of one column,
+        computed once per set of leads."""
+        key = frozenset(leads)
+        out = self._minimal.get(key)
+        if out is None:
+            out = self._minimal[key] = frozenset(
+                minimal_janet_leads(key, self.seq))
+        return out
+
+
+# The _Terms of each (order kind, var_seq on n variables) met in this
+# process; see the module docstring.
+_TABLES = {}
+
+
+def _terms_of(order, n):
+    """The process's one _Terms of order on n variables."""
+    key = order.kind, order.seq(n)
+    table = _TABLES.get(key)
+    if table is None:
+        table = _TABLES[key] = _Terms(order, n)
+    return table
 
 
 class _Unpacked(dict):
@@ -366,7 +417,7 @@ class InvolutiveBasis:
         self._rows = []                # list of _Row, with Janet data
         self._divisors = {}            # col -> [(row, lead, nonmult)]
         self._q = 0                    # highest order added
-        self._terms = _Terms(order, self.field.n)
+        self._terms = _terms_of(order, self.field.n)
         self._key = self._terms.__getitem__   # (col, mu) -> packed term
 
     # -- the ring and the boundary ---------------------------------------
@@ -460,13 +511,14 @@ class InvolutiveBasis:
         index, each row with its lead monomial and the 0-based positions
         of its nonmultiplicative variables, in row order.  The data of
         other columns depends only on their own leads."""
-        rows = [r for r in self._rows if r.lead(self._terms)[0] == col]
-        mus = [r.lead(self._terms)[1] for r in rows]
-        seq = self.order.seq(self.field.n)
+        terms = self._terms
+        rows = [r for r in self._rows if r.lead(terms)[0] == col]
+        mus = [r.lead(terms)[1] for r in rows]
+        data = terms.janet_data(mus)
         self._divisors[col] = index = []
-        for r, mu, m in zip(rows, mus, janet_multiplicative(mus, seq)):
-            r.mult = m
-            index.append((r, mu, [i for i in range(len(mu)) if i + 1 not in m]))
+        for r, mu in zip(rows, mus):
+            r.mult, nonmult = data[mu]
+            index.append((r, mu, nonmult))
 
     def __len__(self):
         return len(self._rows)
@@ -634,9 +686,8 @@ class InvolutiveBasis:
         with rows that only the earlier leads needed.  The remaining rows
         still form a Janet basis, since their leads are Janet-complete.
         """
-        seq = self.order.seq(self.field.n)
         needed = {(col, mu) for col, mus in self._leads().items()
-                  for mu in minimal_janet_leads(mus, seq)}
+                  for mu in self._terms.minimal_leads(mus)}
         if len(needed) < len(self._rows):
             self._rows = [r for r in self._rows
                           if r.lead(self._terms) in needed]

@@ -80,6 +80,39 @@ def test_a_metric_whose_parent_spreads_past_its_bound_is_unresolved():
                                  BETTER)["unresolved"] == []
 
 
+def test_a_claim_needs_nine_wins_in_ten_and_a_gap_past_the_spread():
+    """Parent wall_s runs 1.0-1.9 s (quartiles 1.225-1.675, a spread of
+    0.45) and rate runs 10-19/s (spread 4.5), medians 1.45 s and 14.5/s.
+    A change that wins every pair by a median gap past the spread meets
+    the claim in either direction; one that wins 8 of 10 pairs, or every
+    pair by a gap within the spread, does not."""
+    parent = [_run(1.0 + k / 10, 10.0 + k) for k in range(10)]
+
+    def claim(walls, rates):
+        change = [_run(w, r) for w, r in zip(walls, rates)]
+        return bench_pairs.summarize(parent, change, BETTER)["claim_met"]
+
+    wide_walls = [p["metrics"]["wall_s"]["value"] - 0.5 for p in parent]
+    wide_rates = [p["metrics"]["rate"]["value"] + 5 for p in parent]
+    assert claim(wide_walls, wide_rates) == {"wall_s": True, "rate": True}
+    # the gap past the spread, but two pairs lost
+    lost_walls = wide_walls[:8] + [2.5, 2.5]
+    lost_rates = [r + 5 for r in wide_rates[:8]] + [1.0, 1.0]
+    entry = bench_pairs.summarize(
+        parent, [_run(w, r) for w, r in zip(lost_walls, lost_rates)], BETTER)
+    assert entry["change_wins"] == {"wall_s": 8, "rate": 8}
+    assert 1.45 - entry["change"]["wall_s"]["median"] > 0.45
+    assert entry["change"]["rate"]["median"] - 14.5 > 4.5
+    assert entry["claim_met"] == {"wall_s": False, "rate": False}
+    # every pair won, by a median gap within the spread
+    near_walls = [p["metrics"]["wall_s"]["value"] - 0.4 for p in parent]
+    near_rates = [p["metrics"]["rate"]["value"] + 4 for p in parent]
+    assert claim(near_walls, near_rates) == {"wall_s": False, "rate": False}
+    # a change that reads worse never meets a claim
+    assert claim([w + 1 for w in wide_walls], [r - 10 for r in wide_rates]) \
+        == {"wall_s": False, "rate": False}
+
+
 def test_summary_of_one_pair_and_unequal_sides():
     entry = bench_pairs.summarize([_run(2.0, 1.0)], [_run(1.0, 1.0)], BETTER)
     assert entry["parent"]["wall_s"]["q1"] == entry["parent"]["wall_s"]["q3"] == 2.0

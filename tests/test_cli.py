@@ -131,6 +131,18 @@ def test_determinism(capsys):
     assert strip_timing(first) == strip_timing(second)
 
 
+def test_corpus_output_is_the_same_with_warm_tables(capsys):
+    """The second corpus run in one process finds every term order's
+    packed terms and Janet data already made by the first; its output is
+    byte-identical."""
+    outs = []
+    for _ in range(2):
+        assert cli.main(["corpus", "--verbose"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert outs[0].splitlines()[-1] == "58/58 checks passed"
+
+
 def test_report_roundtrip_and_markdown(capsys, tmp_path):
     out = tmp_path / "report"
     code = cli.main(["cc", corpus_path("unexpected_cc_pair"),

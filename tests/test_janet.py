@@ -11,7 +11,7 @@ from diffmod import janet
 from diffmod.field import DiffField, ResourceLimit, Session
 from diffmod.janet import (InvolutiveBasis, board_of_matrix, complete,
                            count_parametric, janet_board,
-                           janet_multiplicative)
+                           janet_multiplicative, minimal_janet_leads)
 from diffmod.ops import (DEFAULT_ORDER, OpMatrix, ScalarOp, TermOrder,
                          mono_le, mono_sub)
 from conftest import (CORPUS_PROBLEMS, corpus_session, load_corpus_problem,
@@ -539,13 +539,18 @@ def _full_janet_data(basis):
 
 
 def _check_janet_data(basis):
-    """Every row the reducer index names is a row of the basis, and the
-    Janet data on the rows and in the index is the recomputed one."""
+    """Every row the reducer index names is a row of the basis, the
+    Janet data on the rows and in the index is the recomputed one, and
+    the minimal Janet leads the table memoizes for each column's leads
+    are those minimal_janet_leads computes."""
     rows = {id(r) for r in basis._rows}
     assert all(id(r) in rows for entries in basis._divisors.values()
                for r, _, _ in entries)
     assert ([r.mult for r in basis._rows], basis._divisors) == \
         _full_janet_data(basis)
+    seq = basis.order.seq(basis.field.n)
+    for mus in basis._leads().values():
+        assert basis._terms.minimal_leads(mus) == minimal_janet_leads(mus, seq)
 
 
 class _CheckedBasis(InvolutiveBasis):
@@ -588,6 +593,12 @@ class _CheckedBasis(InvolutiveBasis):
         self._count("moves to K", zz and not self._zz)
 
 
+def _memo_sizes():
+    """The number of lead sets each shared table memoizes, by key."""
+    return {key: (len(t._mult), len(t._minimal))
+            for key, t in janet._TABLES.items()}
+
+
 def test_janet_data_of_one_column_matches_a_full_recomputation():
     """An insertion recomputes the Janet data of its own column only, and
     tail reduction and the move to K rewrite rows in place.  Growing
@@ -595,7 +606,16 @@ def test_janet_data_of_one_column_matches_a_full_recomputation():
     seeded systems, then moving each seeded basis to K by a row
     x1 d1 + d2 and tail reducing every basis, leaves after every event
     and every add the Janet data a full recomputation gives, indexing the
-    basis's own rows."""
+    basis's own rows.  The growth runs twice in one process: in the
+    second sweep every lead set's Janet data comes from the memo entries
+    the first sweep's bases made, and must still be the recomputed one."""
+    _grow_checked()
+    filled = _memo_sizes()
+    _grow_checked()
+    assert _memo_sizes() == filled
+
+
+def _grow_checked():
     _CheckedBasis.counts = counts = {}
     adds = 0
     for label, A, order, session in _problems(range(40)):
@@ -718,3 +738,70 @@ def test_prolongation_order_budget_raises_resource_limit(monkeypatch):
     monkeypatch.setattr(janet, "_Budget", Tight)
     with pytest.raises(ResourceLimit, match="prolongation order budget"):
         complete(A)
+
+
+def _four_orders(n):
+    """degrevlex, deglex, lex and degrevlex with var_seq reversed."""
+    return (DEFAULT_ORDER, TermOrder("deglex"), TermOrder("lex"),
+            TermOrder("degrevlex", tuple(range(n, 0, -1))))
+
+
+def test_one_table_per_order_changes_no_completion(monkeypatch):
+    """Every basis under one term order and n shares one _Terms, with its
+    packed terms and Janet data.  Completions of the corpus problems and
+    40 seeded systems under four orders, interleaved in one process, give
+    the matrix, board, integrability conditions and trace steps of the
+    same completion with the registry emptied first; equal keys give the
+    same table and different keys different ones."""
+    cases = [(f"{label} {order}", A, order, session)
+             for label, A, _, session in _problems(range(40))
+             for order in _four_orders(A.field.n)]
+    want = {}
+    for label, A, order, session in cases:
+        monkeypatch.setattr(janet, "_TABLES", {})
+        want[label] = _completion_record(complete(A, order, session.copy()))
+    monkeypatch.setattr(janet, "_TABLES", {})
+    random.Random(5).shuffle(cases)
+    for label, A, order, session in cases:
+        basis = complete(A, order, session.copy())
+        assert basis._terms is janet._terms_of(order, A.field.n), label
+        assert _completion_record(basis) == want[label], label
+    # one table per key met; the reversed var_seq on n = 1 is degrevlex's
+    # own, so 3 tables for n = 1 and 4 for each of n = 2, 3, 5
+    keys = {(order.kind, order.seq(A.field.n)) for _, A, order, _ in cases}
+    assert set(janet._TABLES) == keys and len(keys) == 15
+    for n in (1, 2, 3):
+        explicit = TermOrder("degrevlex", tuple(range(1, n + 1)))
+        assert janet._terms_of(explicit, n) is janet._terms_of(DEFAULT_ORDER, n)
+    tables = {(order.kind, order.seq(n)): janet._terms_of(order, n)
+              for n in (2, 3) for order in _four_orders(n)}
+    assert len({id(t) for t in tables.values()}) == len(tables) == 8
+    assert janet._terms_of(DEFAULT_ORDER, 2) is not janet._terms_of(
+        DEFAULT_ORDER, 3)
+
+
+def test_a_term_past_the_packing_bound_leaves_the_table_usable(monkeypatch):
+    """A row with a term of order 2**15 raises ResourceLimit where it is
+    packed, and a prolongation past the bound where it is unpacked; the
+    shared table keeps no entry of either, and the next completion under
+    the same order is the one an empty registry gives."""
+    monkeypatch.setattr(janet, "_TABLES", {})
+    A = random_constant_system(3)
+    n = A.field.n
+    want = _completion_record(complete(A))
+    monkeypatch.setattr(janet, "_TABLES", {})
+    terms = janet._terms_of(DEFAULT_ORDER, n)
+    top = (2 ** 15 - 1,) + (0,) * (n - 1)
+    d2 = ScalarOp.d(A.field, 2)
+    too_high = OpMatrix(A.field, [[ScalarOp(A.field, {
+        (2 ** 15,) + (0,) * (n - 1): 1})], [d2]])
+    prolonged_past = OpMatrix(A.field, [[ScalarOp(A.field, {top: 1})], [d2]])
+    for M, message in ((too_high, "reached"), (prolonged_past, "overflowed")):
+        with pytest.raises(ResourceLimit, match=f"{message} the packing bound"):
+            complete(M)
+        assert all(max(mu) < 2 ** 15 and sum(mu) < 2 ** 15
+                   for _, mu in terms)
+        assert all(terms[t] == k for k, t in terms._unpacked.items())
+        basis = complete(A)
+        assert basis._terms is terms
+        assert _completion_record(basis) == want
