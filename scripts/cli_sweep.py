@@ -6,14 +6,14 @@
 Runs the CLI from the root of this checkout for the 13 commands below on
 each `.dms` file of `src/diffmod/corpus`, for the 2 runs of ASSUMED
 (`torsion` and `parametrize` on `oneform_area_lie` in the case c = 0)
-and for the 16 `spencer` invocations of SPENCER (the Killing, conformal
+and for the 18 `spencer` invocations of SPENCER (the Killing, conformal
 and contact tables, the n = 5 diagram and the three inputs of
-SPENCER_REFUSED it must refuse): 213 runs, one at a time under
+SPENCER_REFUSED it must refuse): 215 runs, one at a time under
 PYTHONHASHSEED=0 (the script starts itself again with it if it is not
 set).  The first run of each subcommand and the SPENCER_REFUSED runs
 start `python -m diffmod.cli`, so the module entry point, argparse's
 exits and the error messages cross a real process boundary; the other
-200 call `diffmod.cli.main` in this process, standard output and
+202 call `diffmod.cli.main` in this process, standard output and
 standard error captured and SystemExit caught.
 
 Each run leaves three files in OUTDIR/<case>/, where the case is the
@@ -68,9 +68,9 @@ ASSUMED = {
 }
 SPENCER = {
     **{f"killing-n{n}": ["--family", "killing", "--n", str(n)]
-       for n in range(2, 8)},
+       for n in range(2, 9)},
     **{f"conformal-n{n}": ["--family", "conformal", "--n", str(n)]
-       for n in range(3, 7)},
+       for n in range(3, 8)},
     **{f"contact-n{n}": ["--family", "contact", "--n", str(n)]
        for n in (3, 5)},
     "diagram": ["--diagram"],

@@ -4,9 +4,10 @@ The pieces, bottom up: a coefficient field with exact derivations
 (`field`), the noncommutative operator ring and its formal adjoint
 (`ops`), Janet involutive completion (`janet`), compatibility conditions
 and differential sequences (`syzygy`), the double-duality torsion test
-and ext modules (`duality`), Spencer delta-cohomology dimension counts
-(`spencer`), and a small text format for systems (`dsl`) with a command
-line driver (`cli`).
+and ext modules (`duality`), the classical operator families
+(`families`), Spencer delta-cohomology dimension counts (`spencer`), and
+a small text format for systems (`dsl`) with a command line driver
+(`cli`).
 """
 
 from .field import (CaseSplitRequired, DiffField, DivisionByZero,

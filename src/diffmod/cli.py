@@ -29,7 +29,7 @@ import time
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .dsl import elaborate, load_problem, parse_system
+from .dsl import elaborate, load_problem, parse_system, read_source
 from .duality import (NotParametrizable, double_duality_test, ext_module,
                       parametrize, torsion_submodule)
 from .field import CaseSplitRequired, DiffmodError
@@ -95,7 +95,7 @@ def run_file(args):
     """Load the file into a Problem per branch, run the subcommand on it
     and report the envelope."""
     t0 = time.time()
-    text = Path(args.file).read_text()
+    text = read_source(args.file)
     system = elaborate(parse_system(text))
     var_seq = _order_vars(getattr(args, "order_vars", None))
     report = {

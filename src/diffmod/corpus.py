@@ -8,7 +8,8 @@ import json
 from dataclasses import dataclass, field as dc_field
 from importlib import resources
 
-from .dsl import elaborate, load_problem, parse_row, parse_system
+from .dsl import (elaborate, load_problem, parse_row, parse_system,
+                  read_source)
 from .duality import (double_duality_test, ext_module, kernel_analysis,
                       parametrize, torsion_submodule)
 from .janet import board_of_matrix, complete, count_parametric, janet_board
@@ -38,7 +39,7 @@ class CheckResult:
 
 def load_case(name, directory=None):
     base = directory or corpus_dir()
-    source = (base / f"{name}.dms").read_text()
+    source = read_source(base / f"{name}.dms")
     fixture = json.loads((base / f"{name}.expected.json").read_text())
     return source, fixture
 

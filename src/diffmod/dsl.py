@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dc_field
+from pathlib import Path
 
 import sympy as sp
 
@@ -289,6 +290,14 @@ def _deriv_indices(text):
     if body.startswith("("):
         return tuple(int(x) for x in body[1:-1].replace(" ", "").split(","))
     return tuple(int(ch) for ch in body)
+
+
+def read_source(path):
+    """The text of a .dms file, which is UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def parse_system(text):

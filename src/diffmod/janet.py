@@ -376,6 +376,16 @@ class CompletionTrace:
 # Reductions one add or one tail reduction may make; prolongations stop at
 # order 2q + 6 for rows of order up to q.
 MAX_STEPS = 10_000
+# The size a coefficient of a row over K may reach in a reduction, its
+# numerator terms plus its denominator terms; past it the next step's
+# polynomial gcds can run for minutes.  CHANGES.md has the measurements.
+MAX_COEFF_SIZE = 32
+
+
+def _coeff_size(c):
+    """Numerator plus denominator terms of a field element, 1 for a
+    rational constant."""
+    return 1 if c._q is not None else len(c._f.numer) + len(c._f.denom)
 
 
 class _Budget:
@@ -562,6 +572,9 @@ class InvolutiveBasis:
         d^kappa o r lies at or below it (the order is compatible with
         d^kappa and Leibniz terms lower the monomial), so the terms above
         it are only scaled by a constant and stay irreducible.
+
+        Over K a step that leaves a coefficient of more than
+        MAX_COEFF_SIZE terms raises ResourceLimit, budget or none.
         """
         terms, reducer = self._terms, self._reducer
         unpack = terms.unpack
@@ -582,6 +595,12 @@ class InvolutiveBasis:
             top = t
             if budget is not None:
                 budget.tick()
+            if not self._zz:
+                size = max(map(_coeff_size, work.op.values()), default=0)
+                if size > MAX_COEFF_SIZE:
+                    raise ResourceLimit(
+                        f"a coefficient of {size} terms passed the size "
+                        f"bound of {MAX_COEFF_SIZE} in a reduction")
         return work
 
     def normal_form(self, op_row):

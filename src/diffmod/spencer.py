@@ -1,9 +1,11 @@
 """Symbol spaces, prolongations and Spencer delta-cohomology dimensions.
 
-Everything is finite linear algebra over exact rationals (sympy's sparse
+A symbol is read off an operator: `SymbolSpace.of(A)` takes the top-order
+terms of each row of a constant-coefficient operator A of one order q as
+the linear equations cutting g_q out of S_q T* (x) E.  From there
+everything is finite linear algebra over exact rationals (sympy's sparse
 `DomainMatrix` over QQ, each rank taken on the tall side of its matrix,
-where elimination is several times faster): a symbol is a subspace of
-S_q T* (x) E cut out by linear equations, its prolongations shift those
+where elimination is several times faster): the prolongations shift those
 equations up in symmetric degree (mu -> mu + 1_i is injective, so the
 coefficients just move), and the delta complex
 
@@ -17,8 +19,8 @@ each g_l:
 
 Every count reads its bases off one ladder, `SymbolSpace.ladder`: g_q,
 g_{q+1}, ..., each prolonged once from the level below, up to the first
-zero space.  Both classical symbols come from one first-order rule, and
-the Killing and conformal tables from one rule on these groups: F0 = E,
+zero space.  The Killing and conformal symbols are read off the operators
+of `families`, and their tables come from one rule on these groups: F0 = E,
 F1 = S_q T* (x) E / g_q, and F_{s-1} = H^s(g_{q+r_s}) for s = 2..n, where
 r_s is the least r giving a nonzero group.  Only the contact family,
 which is not of finite type, keeps a closed form.
@@ -34,7 +36,8 @@ from fractions import Fraction
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from .field import DiffmodError
+from . import families
+from .field import DiffmodError, ResourceLimit
 
 
 class UnsupportedDimension(DiffmodError, ValueError):
@@ -101,6 +104,29 @@ class SymbolSpace:
     m: int
     q: int
     equations: list
+
+    @classmethod
+    def of(cls, A):
+        """The symbol of A, a constant-coefficient operator whose nonzero
+        rows all have one order q: per nonzero row, the equation of its
+        order-q terms.  Any other operator raises UnsupportedDimension."""
+        eqs, orders = [], set()
+        for row in A.entries:
+            terms = [(mu, k, c) for k, e in enumerate(row)
+                     for mu, c in e.terms.items()]
+            for _, _, c in terms:
+                if c._q is None:
+                    raise UnsupportedDimension(
+                        f"{c.field.coeff_str(c)} is not a rational constant")
+            if terms:
+                q = max(sum(mu) for mu, _, _ in terms)
+                orders.add(q)
+                eqs.append({(mu, k): c._q for mu, k, c in terms
+                            if sum(mu) == q})
+        if len(orders) != 1:
+            raise UnsupportedDimension(
+                f"rows of orders {sorted(orders)}: a symbol needs one order")
+        return cls(A.field.n, A.cols, orders.pop(), eqs)
 
     def _coordinates(self):
         """The keys (mu, k) of S_q T* (x) E, and the equations as rows
@@ -205,60 +231,33 @@ def _acyclic(n, bases, k):
 
 
 # ---------------------------------------------------------------------------
-# classical symbol families (flat nondegenerate metric)
-
-def _metric(n, metric):
-    """The identity, or `metric` if symmetric, nondegenerate and n x n."""
-    if metric is None:
-        return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    om = [[Fraction(v) for v in row] for row in metric]
-    if ([len(row) for row in om] != [n] * n
-            or any(om[i][j] != om[j][i] for i in range(n) for j in range(i))
-            or rank([dict(enumerate(row)) for row in om], n) < n):
-        raise UnsupportedDimension("metric: not symmetric nondegenerate n x n")
-    return om
-
-
-def _first_order_symbol(n, metric, trace_weight):
-    """The equations omega(X e_i, e_j) + omega(e_i, X e_j)
-    = trace_weight omega_ij tr X, i <= j, on X in T* (x) T; the trace of
-    the endomorphism X is metric independent."""
-    om = _metric(n, metric)
-    units = sym_monos(n, 1)
-    eqs = []
-    for i in range(n):
-        for j in range(i, n):
-            row = {}
-            for r in range(n):
-                for key, v in (((units[i], r), om[r][j]),
-                               ((units[j], r), om[i][r]),
-                               ((units[r], r), -trace_weight * om[i][j])):
-                    row[key] = row.get(key, 0) + v
-            eqs.append({k: v for k, v in row.items() if v})
-    return SymbolSpace(n, n, 1, eqs)
-
-
-def killing_symbol(n, metric=None):
-    """First-order symbol of the isometry system: omega-antisymmetric maps."""
-    if n < 2:
-        raise UnsupportedDimension("killing needs n >= 2")
-    return _first_order_symbol(n, metric, 0)
-
-
-def conformal_symbol(n, metric=None):
-    """First-order symbol of the conformal system: the Killing equations
-    with the trace part set free (weight 2/n)."""
-    if n < 3:
-        raise UnsupportedDimension("conformal needs n >= 3")
-    return _first_order_symbol(n, metric, Fraction(2, n))
-
-
-# ---------------------------------------------------------------------------
 # dimension tables
+
+# The largest n of a table; CHANGES.md has the timings it was set from.
+MAX_N = 12
+
+
+def _bounded(n):
+    if n > MAX_N:
+        raise ResourceLimit(f"n = {n} is past the bound of {MAX_N} on the "
+                            "dimension of a Spencer table")
+
+
+def _symbol(family, n):
+    """The symbol of the flat Killing or conformal operator in n variables."""
+    builders = {"killing": (families.killing, 2),
+                "conformal": (families.conformal, 3)}
+    if family not in builders:
+        raise UnsupportedDimension(f"unknown family {family!r}")
+    build, least = builders[family]
+    if n < least:
+        raise UnsupportedDimension(f"{family} needs n >= {least}")
+    return SymbolSpace.of(build(n))
+
 
 def contact_bundle_dim(n, r):
     """Fiber dimension n! / ((r+2)! (n-r-2)!) of the contact sequence."""
-    return math.factorial(n) // (math.factorial(r + 2) * math.factorial(n - r - 2))
+    return math.comb(n, r + 2)
 
 
 def classical_dims(family, n):
@@ -274,16 +273,14 @@ def classical_dims(family, n):
 
     Contact is not of finite type and keeps its combinatorial formula.
     """
+    _bounded(n)
     if family == "contact":
         if n < 3 or n % 2 == 0:
             raise UnsupportedDimension("contact needs odd n >= 3")
         dims = [n] + [contact_bundle_dim(n, r) for r in range(0, n - 1)]
         orders = [1] * (n - 1)
         return {"family": family, "n": n, "dims": dims, "orders": orders}
-    symbols = {"killing": killing_symbol, "conformal": conformal_symbol}
-    if family not in symbols:
-        raise UnsupportedDimension(f"unknown family {family!r}")
-    g = symbols[family](n)
+    g = _symbol(family, n)
     bases = g.ladder(n + 4)
     dims = [g.m, g.m * sym_dim(n, g.q) - len(bases[0])]
     orders = [g.q]
@@ -310,7 +307,8 @@ def symbol_counts(family, n):
     H2 and H3 of g_q for Killing; dim g_{q+2} (ghat3_dim), H3 of g_q
     (H3_ghat1) and whether g_{q+1} is 2-acyclic for conformal.  The
     ladder of g_{q+1} is this one without its first level."""
-    g = {"killing": killing_symbol, "conformal": conformal_symbol}[family](n)
+    _bounded(n)
+    g = _symbol(family, n)
     bases = g.ladder(n + 5)
     if family == "killing":
         return {"H2": _cohomology_dim(n, 2, bases, 0),
@@ -328,12 +326,13 @@ def conformal_diagram_dims(n=5):
     symbol, Z^3 and H^3 of the conformal symbol, wedge^2 (x) g2hat,
     delta(T* (x) S_2 T*), and wedge^3 T*.
     """
+    _bounded(n)
     if n < 5:
         raise UnsupportedDimension("the diagram needs n >= 5")
-    gh1, gh2 = conformal_symbol(n).ladder(2)
+    gh1, gh2 = _symbol("conformal", n).ladder(2)
     z3_isometry, z3_conformal = (
         math.comb(n, 3) * len(b) - _delta_rank(n, 3, b)
-        for b in (killing_symbol(n).basis(), gh1))
+        for b in (_symbol("killing", n).basis(), gh1))
     return {
         "z3_isometry": z3_isometry,
         "z3_conformal": z3_conformal,

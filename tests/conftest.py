@@ -23,40 +23,6 @@ def load_corpus_system(name):
     return elaborate(parse_system(src))
 
 
-def _flat_source(name, n, diagonal):
-    """.dms text of a flat operator on the vector field xi in n variables:
-    per i, the diagonal row diagonal(i) if there is one, then the
-    symmetric rows d_j(xi_i) + d_i(xi_j) for j > i."""
-    lines = [f"system {name}_flat_n{n};",
-             "vars " + ", ".join(f"x{i}" for i in range(1, n + 1)) + ";",
-             "unknowns " + ", ".join(f"xi{i}" for i in range(1, n + 1)) + ";"]
-    for i in range(1, n + 1):
-        if diagonal(i):
-            lines.append(f"K{i}{i}: {diagonal(i)} = o{i}{i};")
-        lines += [f"K{i}{j}: d{j}(xi{i}) + d{i}(xi{j}) = o{i}{j};"
-                  for j in range(i + 1, n + 1)]
-    return "\n".join(lines) + "\n"
-
-
-def flat_killing_source(n):
-    """.dms text of the flat Killing operator on n variables.
-
-    Rows d_j(xi_i) + d_i(xi_j) for i < j, and the halved diagonal rows
-    d_i(xi_i), labelled and ordered as in killing_flat_n2.dms.
-    """
-    return _flat_source("killing", n, lambda i: f"d{i}(xi{i})")
-
-
-def flat_conformal_source(n):
-    """.dms text of the flat conformal Killing operator on n variables.
-
-    Rows d_i(xi_i) - d_n(xi_n) for i < n, the trace-free part of the
-    diagonal, and d_j(xi_i) + d_i(xi_j) for i < j.
-    """
-    return _flat_source("conformal", n, lambda i:
-                        f"d{i}(xi{i}) - d{n}(xi{n})" if i < n else "")
-
-
 # (name, assume) of the 16 corpus problems: every system, and both cases of
 # the split parameter of oneform_area_lie.
 CORPUS_PROBLEMS = [

@@ -179,6 +179,7 @@ def test_corpus_case_split_branches():
     ["spencer", "--family", "conformal", "--n", "2"],
     ["spencer", "--n", "4"],
     ["spencer", "--family", "killing"],
+    ["spencer", "--family", "killing", "--n", "100000"],
 ])
 def test_spencer_bad_input_is_an_error_not_a_traceback(capsys, argv):
     assert cli.main(argv) == 1
@@ -303,6 +304,19 @@ def test_assumption_dividing_by_a_parameter_is_refused(capsys, tmp_path):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "1/c" in err
 
+
+
+def test_a_file_that_is_not_utf8_is_an_error_not_a_traceback(capsys,
+                                                              tmp_path):
+    """A .dms file with a byte that is not UTF-8, read by a file command
+    and by the corpus runner."""
+    (tmp_path / "bad.dms").write_bytes(b"system bad;\xff\n")
+    (tmp_path / "bad.expected.json").write_text('{"checks": []}')
+    for argv in (["complete", str(tmp_path / "bad.dms")],
+                 ["corpus", "--dir", str(tmp_path)]):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bad.dms is not UTF-8" in err
 
 
 def _cli_sweep():

@@ -1,7 +1,11 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy as sp
@@ -196,6 +200,60 @@ def test_step_budget_raises_resource_limit(monkeypatch):
     monkeypatch.setattr(janet, "MAX_STEPS", 3)
     with pytest.raises(ResourceLimit, match="reduction budget"):
         complete(matrix)
+
+
+# The completed basis of oneform_area_lie under c != 0, over K, and a row
+# x1 d1(xi1) + d2(xi1) whose reduction grows its coefficients at each step.
+GROWTH = """
+from diffmod.corpus import corpus_dir
+from diffmod.dsl import elaborate, load_problem, parse_system
+from diffmod.janet import complete
+from diffmod.ops import OpMatrix, ScalarOp
+
+system = elaborate(parse_system(
+    (corpus_dir() / "oneform_area_lie.dms").read_text()))
+p = load_problem(system, ["c!=0"])
+basis = complete(p.matrix, p.order, p.session)
+F = p.field
+row = [ScalarOp.monomial(F, (1, 0), F.ratfunc("x1")) + ScalarOp.d(F, 2),
+       ScalarOp.zero(F)]
+"""
+
+
+def test_coefficient_growth_raises_resource_limit():
+    """Adding the row to the basis makes steps whose largest coefficients
+    grow to 10, 37, 45, 46 and 48 terms, and without the size bound a
+    later step runs for minutes.  It runs in a process of its own, so
+    that such a hang fails the test by its timeout instead of stalling
+    the suite."""
+    script = GROWTH + """
+from diffmod.field import ResourceLimit
+try:
+    basis.add(OpMatrix(F, [row]))
+except ResourceLimit as exc:
+    print("ResourceLimit:", exc)
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=5)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("ResourceLimit: a coefficient of")
+    assert f"size bound of {janet.MAX_COEFF_SIZE}" in run.stdout
+
+
+def test_the_size_bound_holds_without_a_step_budget(monkeypatch):
+    """normal_form reduces with no step budget; the row's normal form has
+    a coefficient of 6 terms, so a bound of 5 stops the reduction."""
+    scope = {}
+    exec(GROWTH, scope)
+    basis, row = scope["basis"], scope["row"]
+    assert max(janet._coeff_size(c) for e in basis.normal_form(row)
+               for c in e.terms.values()) == 6
+    monkeypatch.setattr(janet, "MAX_COEFF_SIZE", 5)
+    with pytest.raises(ResourceLimit, match="size bound of 5"):
+        basis.normal_form(row)
 
 
 def test_grown_basis_matches_completion():

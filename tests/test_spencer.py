@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from diffmod.spencer import (SymbolSpace, UnsupportedDimension, _delta,
+from diffmod import families
+from diffmod.field import DiffField, ResourceLimit
+from diffmod.ops import OpMatrix, ScalarOp
+from diffmod.spencer import (MAX_N, SymbolSpace, UnsupportedDimension, _delta,
                              acyclicity_check, classical_dims,
-                             conformal_diagram_dims, conformal_symbol,
-                             contact_bundle_dim, delta_cohomology_dim,
-                             killing_symbol, rank, sym_dim, sym_monos,
+                             conformal_diagram_dims, contact_bundle_dim,
+                             delta_cohomology_dim, rank, sym_dim, sym_monos,
                              symbol_counts, wedge_sets)
 
 
@@ -20,40 +22,68 @@ def closed_h3(n):
     return n * n * (n * n - 1) * (n - 2) // 24
 
 
+def symbol_id(value):
+    """The id of a family's case: the name of the symbol builder each
+    family once had."""
+    return f"{value.__name__}_symbol" if callable(value) else None
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_isometry_symbol_dimensions(n):
-    g = killing_symbol(n)
+    g = SymbolSpace.of(families.killing(n))
     assert g.dim == n * (n - 1) // 2
     assert g.prolong(1).dim == 0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_isometry_cohomology_matches_closed_forms(n):
-    g = killing_symbol(n)
+    g = SymbolSpace.of(families.killing(n))
     assert delta_cohomology_dim(g, 2, 0) == closed_h2(n)
     assert delta_cohomology_dim(g, 3, 0) == closed_h3(n)
 
 
 def test_isometry_cohomology_independent_of_generic_metric():
-    # a different nondegenerate rational metric gives the same counts
+    """A different nondegenerate rational metric om gives the same counts:
+    its Killing operator has the rows
+    sum_r om_rj d_i(xi_r) + om_ir d_j(xi_r), i <= j."""
     om = [[Fraction(2), Fraction(1), Fraction(0)],
           [Fraction(1), Fraction(3), Fraction(0)],
           [Fraction(0), Fraction(0), Fraction(1)]]
-    g = killing_symbol(3, metric=om)
+    field = DiffField(3)
+    d = [ScalarOp.d(field, i) for i in (1, 2, 3)]
+    A = OpMatrix(field, [[d[i].scale(om[r][j]) + d[j].scale(om[i][r])
+                          for r in range(3)]
+                         for i in range(3) for j in range(i, 3)])
+    g = SymbolSpace.of(A)
     assert g.dim == 3
     assert delta_cohomology_dim(g, 2, 0) == closed_h2(3)
 
 
-@pytest.mark.parametrize("family", [killing_symbol, conformal_symbol])
-@pytest.mark.parametrize("metric", [
-    [[1, 0, 0], [0, 1, 0], [0, 0, 0]],          # degenerate
-    [[1, 1, 0], [0, 1, 0], [0, 0, 1]],          # invertible, not symmetric
-    [[1, 0], [0, 1]],                           # not 3 x 3
-    [[1, 0, 0], [0, 1], [0, 0, 1]],             # ragged
-])
-def test_bad_metric_is_rejected(family, metric):
-    with pytest.raises(UnsupportedDimension):
-        family(3, metric=metric)
+def test_symbol_of_reads_the_top_order_terms():
+    """One equation per nonzero row, of its terms of the operator's
+    order; lower-order terms and zero rows leave no trace."""
+    field = DiffField(2)
+    A = OpMatrix(field, [
+        [ScalarOp.d(field, 1, 1) + ScalarOp.d(field, 2),
+         ScalarOp.d(field, 1, 2).scale(Fraction(-1, 2))],
+        [ScalarOp.zero(field), ScalarOp.zero(field)],
+        [ScalarOp.constant(field, 3), ScalarOp.d(field, 2, 2)]])
+    g = SymbolSpace.of(A)
+    assert (g.n, g.m, g.q) == (2, 2, 2)
+    assert g.equations == [{((2, 0), 0): 1, ((1, 1), 1): Fraction(-1, 2)},
+                           {((0, 2), 1): 1}]
+
+
+@pytest.mark.parametrize("rows,message", [
+    (lambda F: [[ScalarOp.monomial(F, (1, 0), F.ratfunc("x2"))]],
+     "x2 is not a rational constant"),
+    (lambda F: [[ScalarOp.d(F, 1)], [ScalarOp.d(F, 1, 2)]],
+     r"rows of orders \[1, 2\]"),
+], ids=["x_dependent", "mixed_orders"])
+def test_symbol_of_an_unsupported_operator_is_refused(rows, message):
+    field = DiffField(2)
+    with pytest.raises(UnsupportedDimension, match=message):
+        SymbolSpace.of(OpMatrix(field, rows(field)))
 
 
 def _prolong_by_accumulation(g):
@@ -71,10 +101,11 @@ def _prolong_by_accumulation(g):
     return eqs
 
 
-@pytest.mark.parametrize("family", [killing_symbol, conformal_symbol])
+@pytest.mark.parametrize("family", [families.killing, families.conformal],
+                         ids=symbol_id)
 @pytest.mark.parametrize("n", [3, 4])
 def test_prolong_matches_accumulation(family, n):
-    g = family(n)
+    g = SymbolSpace.of(family(n))
     for _ in range(3):
         h = g.prolong()
         assert h.q == g.q + 1
@@ -84,22 +115,22 @@ def test_prolong_matches_accumulation(family, n):
 
 def test_conformal_symbol_finite_type():
     for n in (3, 4, 5):
-        g = conformal_symbol(n)
+        g = SymbolSpace.of(families.conformal(n))
         assert g.dim == n * (n - 1) // 2 + 1
         assert g.prolong(2).dim == 0
         assert g.prolong(1).dim == n  # ghat_2 ~ T*
 
 
 def test_second_order_cc_at_n4():
-    g = conformal_symbol(4)
+    g = SymbolSpace.of(families.conformal(4))
     assert delta_cohomology_dim(g, 3, 0) == 0
 
 
 def test_acyclicity_flags():
-    g4 = conformal_symbol(4).prolong(1)
+    g4 = SymbolSpace.of(families.conformal(4)).prolong(1)
     assert acyclicity_check(g4, 2)
     assert not acyclicity_check(g4, 3)
-    g5 = conformal_symbol(5).prolong(1)
+    g5 = SymbolSpace.of(families.conformal(5)).prolong(1)
     assert acyclicity_check(g5, 3)
     zero = SymbolSpace(3, 1, 1, [{((1, 0, 0), 0): Fraction(1)},
                                  {((0, 1, 0), 0): Fraction(1)},
@@ -109,17 +140,17 @@ def test_acyclicity_flags():
 
 
 @pytest.mark.parametrize("family,n,s,h", [
-    (conformal_symbol, 3, 2, 5), (conformal_symbol, 3, 3, 3),
-    (conformal_symbol, 4, 3, 9),
-    (killing_symbol, 3, 2, 0), (killing_symbol, 3, 3, 0),
-])
+    (families.conformal, 3, 2, 5), (families.conformal, 3, 3, 3),
+    (families.conformal, 4, 3, 9),
+    (families.killing, 3, 2, 0), (families.killing, 3, 3, 0),
+], ids=symbol_id)
 def test_cohomology_one_prolongation_up(family, n, s, h):
-    assert delta_cohomology_dim(family(n), s, 1) == h
+    assert delta_cohomology_dim(SymbolSpace.of(family(n)), s, 1) == h
 
 
 def test_cohomology_below_the_symbol_is_refused():
     with pytest.raises(ValueError):
-        delta_cohomology_dim(killing_symbol(3), 2, -1)
+        delta_cohomology_dim(SymbolSpace.of(families.killing(3)), 2, -1)
 
 
 def test_acyclicity_of_a_symbol_of_infinite_type():
@@ -196,7 +227,7 @@ def test_euler_characteristic_of_full_delta_sequence():
 def test_long_symbol_sequence_rank_bookkeeping():
     """S4 T* x T -> S3 T* x F0 -> T* x F1 -> F2 -> 0 is exact by counting."""
     for n in (2, 3, 4, 5):
-        g = killing_symbol(n)
+        g = SymbolSpace.of(families.killing(n))
         f0 = n * (n + 1) // 2
         f1 = delta_cohomology_dim(g, 2, 0)
         f2 = delta_cohomology_dim(g, 3, 0)
@@ -210,12 +241,11 @@ def test_long_symbol_sequence_rank_bookkeeping():
 def test_symbol_counts_of_one_ladder_are_the_separate_counts(family, n):
     """symbol_counts reads every count off one ladder; each equals the
     count computed on its own symbol space."""
+    g = SymbolSpace.of(getattr(families, family)(n))
     if family == "killing":
-        g = killing_symbol(n)
         want = {"H2": delta_cohomology_dim(g, 2, 0),
                 "H3": delta_cohomology_dim(g, 3, 0)}
     else:
-        g = conformal_symbol(n)
         want = {"ghat3_dim": g.prolong(2).dim,
                 "H3_ghat1": delta_cohomology_dim(g, 3, 0),
                 "ghat2_2acyclic": acyclicity_check(g.prolong(1), 2)}
@@ -305,3 +335,15 @@ def test_pinned_tables(family, n, dims, orders):
 def test_unknown_family_is_rejected():
     with pytest.raises(UnsupportedDimension):
         classical_dims("projective", 4)
+
+
+@pytest.mark.parametrize("table", [
+    lambda n: classical_dims("killing", n),
+    lambda n: classical_dims("contact", n),
+    lambda n: symbol_counts("conformal", n),
+    conformal_diagram_dims,
+], ids=["killing", "contact", "symbol_counts", "diagram"])
+def test_n_past_the_bound_is_refused(table):
+    """Every table refuses an n past MAX_N before building anything."""
+    with pytest.raises(ResourceLimit, match=f"bound of {MAX_N}"):
+        table(MAX_N + 1)

@@ -1,8 +1,7 @@
 import pytest
 import sympy as sp
 
-from diffmod import janet, syzygy
-from diffmod.dsl import elaborate, parse_system
+from diffmod import families, janet, syzygy
 from diffmod.field import DiffField, ResourceLimit, Session
 from diffmod.janet import complete
 from diffmod.ops import DEFAULT_ORDER, OpMatrix, ScalarOp, TermOrder
@@ -10,7 +9,6 @@ from diffmod.spencer import classical_dims
 from diffmod.syzygy import (build_sequence, compatibility_conditions,
                             differential_rank)
 from conftest import (CORPUS_NAMES, CORPUS_PROBLEMS, corpus_session,
-                      flat_conformal_source, flat_killing_source,
                       load_corpus_problem, load_corpus_system,
                       random_constant_system, random_matrix, random_poly)
 
@@ -289,19 +287,9 @@ def test_cc_of_zero_operator_is_identity_in_input_order():
     assert cc.col_labels == ["eq1", "eq2", "eq3"]
 
 
-def _flat_killing(n):
-    _, matrix, _ = elaborate(parse_system(flat_killing_source(n)))
-    return matrix
-
-
-def _flat_conformal(n):
-    _, matrix, _ = elaborate(parse_system(flat_conformal_source(n)))
-    return matrix
-
-
 def test_flat_killing_source_is_the_corpus_operator():
     _, fixture, _ = load_corpus_system("killing_flat_n2")
-    ours = _flat_killing(2)
+    ours = families.killing(2)
     assert ours == fixture
     assert (ours.row_labels, ours.col_labels) == \
         (fixture.row_labels, fixture.col_labels)
@@ -319,7 +307,7 @@ def test_killing_cc_minimalizes_on_one_growing_basis(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(syzygy, "complete", counted)
-    A = _flat_killing(4)
+    A = families.killing(4)
     cc = compatibility_conditions(A)
     assert cc.rows == 20
     assert cc.compose(A).is_zero
@@ -335,20 +323,22 @@ def _assert_sequence_matches_the_table(A, family, n):
     assert all(seq.certificates)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_killing_sequence_matches_the_spencer_table(n):
     """Cross-check of the operator pipeline against the symbol rule: the
-    sequence of the flat Killing operator has the shape and orders of
-    spencer.classical_dims."""
-    _assert_sequence_matches_the_table(_flat_killing(n), "killing", n)
+    sequence of the flat Killing operator of `families` has the shape and
+    orders of spencer.classical_dims, which reads its symbol off the same
+    operator."""
+    _assert_sequence_matches_the_table(families.killing(n), "killing", n)
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5])
 def test_conformal_sequence_matches_the_spencer_table(n):
     """The same cross-check for the flat conformal Killing operator:
-    [3, 5, 5, 3] with orders [1, 3, 1] for n = 3, and [4, 9, 10, 9, 4]
-    with orders [1, 2, 2, 1] for n = 4."""
-    _assert_sequence_matches_the_table(_flat_conformal(n), "conformal", n)
+    [3, 5, 5, 3] with orders [1, 3, 1] for n = 3, [4, 9, 10, 9, 4] with
+    orders [1, 2, 2, 1] for n = 4, and [5, 14, 35, 35, 14, 5] with orders
+    [1, 2, 1, 2, 1] for n = 5."""
+    _assert_sequence_matches_the_table(families.conformal(n), "conformal", n)
 
 
 @pytest.mark.parametrize("family", ["killing", "conformal"])
@@ -356,7 +346,7 @@ def test_rank_of_the_n6_families(family):
     """Rank 6 of the flat n = 6 operators and of their adjoints, from one
     completion each; the CC chain of conformal n = 6 ends in a
     ResourceLimit."""
-    A = {"killing": _flat_killing, "conformal": _flat_conformal}[family](6)
+    A = getattr(families, family)(6)
     assert differential_rank(A) == 6
     assert differential_rank(A.adjoint()) == 6
 
