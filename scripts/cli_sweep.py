@@ -5,22 +5,26 @@
 
 Runs the CLI from the root of this checkout for the 13 commands below on
 each `.dms` file of `src/diffmod/corpus`, for the 2 runs of ASSUMED
-(`torsion` and `parametrize` on `oneform_area_lie` in the case c = 0)
-and for the 18 `spencer` invocations of SPENCER (the Killing, conformal
+(`torsion` and `parametrize` on `oneform_area_lie` in the case c = 0),
+for the 18 `spencer` invocations of SPENCER (the Killing, conformal
 and contact tables, the n = 5 diagram and the three inputs of
-SPENCER_REFUSED it must refuse): 215 runs, one at a time under
+SPENCER_REFUSED it must refuse) and for one `corpus --dir refused` it
+must refuse, where OUTDIR/corpus/refused holds a corpus system beside a
+fixture cut short (TRUNCATED_FIXTURE): 216 runs, one at a time under
 PYTHONHASHSEED=0 (the script starts itself again with it if it is not
-set).  The first run of each subcommand and the SPENCER_REFUSED runs
-start `python -m diffmod.cli`, so the module entry point, argparse's
-exits and the error messages cross a real process boundary; the other
-202 call `diffmod.cli.main` in this process, standard output and
-standard error captured and SystemExit caught.
+set).  The first run of each subcommand (the `corpus` run is one) and
+the SPENCER_REFUSED runs start `python -m diffmod.cli`, so the module
+entry point, argparse's exits and the error messages cross a real
+process boundary; the other 202 call `diffmod.cli.main` in this
+process, standard output and standard error captured and SystemExit
+caught.
 
 Each run leaves three files in OUTDIR/<case>/, where the case is the
-corpus file's stem or `spencer`: `<command>.stdout` (standard output
-without its `elapsed_ms` line), `<command>.stderr` and `<command>.exit`
-(the exit status).  Nothing else in them depends on the clock or on
-where the checkout lives, so
+corpus file's stem, `spencer` or `corpus`: `<command>.stdout` (standard
+output without its `elapsed_ms` line), `<command>.stderr` and
+`<command>.exit` (the exit status).  The refused `corpus` run starts in
+OUTDIR/corpus, so the path in its message is relative.  Nothing else in
+them depends on the clock or on where the checkout lives, so
 
     diff -r PARENT_OUTDIR CHANGE_OUTDIR
 
@@ -79,13 +83,15 @@ SPENCER = {
     "killing-no-n": ["--family", "killing"],
 }
 SPENCER_REFUSED = ("killing-n1", "contact-n4", "killing-no-n")
+TRUNCATED_FIXTURE = '{"checks": ['
 EXIT_CODES = (0, 1, 2)
 
 
-def run_process(args, env):
-    """(exit status, stdout, stderr) of `python -m diffmod.cli args`."""
+def run_process(args, env, cwd=ROOT):
+    """(exit status, stdout, stderr) of `python -m diffmod.cli args`,
+    started in cwd."""
     run = subprocess.run([sys.executable, "-m", "diffmod.cli", *args],
-                         cwd=ROOT, env=env, capture_output=True, text=True)
+                         cwd=cwd, env=env, capture_output=True, text=True)
     return run.returncode, run.stdout, run.stderr
 
 
@@ -126,6 +132,13 @@ def main(argv):
              for stem, runs in ASSUMED.items() for name, args in runs.items()]
     jobs += [("spencer", name, ["spencer", *args])
              for name, args in SPENCER.items()]
+    refused = out / "corpus" / "refused"
+    refused.mkdir(parents=True, exist_ok=True)
+    (refused / "killing_flat_n2.dms").write_text(
+        (ROOT / CORPUS / "killing_flat_n2.dms").read_text())
+    (refused / "killing_flat_n2.expected.json").write_text(TRUNCATED_FIXTURE)
+    jobs.append(("corpus", "dir-truncated",
+                 ["corpus", "--dir", "refused"]))
     runs, bad, seen = 0, [], set()
     t_all = time.perf_counter()
     for stem, name, args in jobs:
@@ -135,8 +148,9 @@ def main(argv):
                    or (stem == "spencer" and name in SPENCER_REFUSED))
         seen.add(args[0])
         t0 = time.perf_counter()
-        code, stdout, stderr = (run_process(args, env) if process
-                                else run_in_process(args))
+        code, stdout, stderr = (
+            run_process(args, env, cwd=case if stem == "corpus" else ROOT)
+            if process else run_in_process(args))
         seconds = time.perf_counter() - t0
         runs += 1
         stdout = "".join(line for line in stdout.splitlines(True)

@@ -1,6 +1,36 @@
 """Regression corpus: each .dms system ships with an expected-output
 fixture, and the runner replays every declared check against the live
-library.  Any mismatch is reported with a diff line."""
+library.  Any mismatch is reported with a diff line.
+
+NAME.expected.json is {"checks": [check, ...]}.  A check names its "op",
+may add "assume" (--assume items), "case" ({param: k}), "order_vars",
+ext's index "i" and kernel's "adjoint" (false: A, not ad A), and lists
+under "expect" what the op must report.  Every key is optional.  A value
+must equal the reported one (sets and class lists compare sorted); rows
+are written as in a .dms file.  CC o A = 0 and the replay of every
+torsion certificate are checked always.
+
+  complete     basis_size involutive finite_type dim integrability_count
+               board_mult; member_rows reduce, non_member_rows do not
+  board        mult_sets classes
+  cc           rows order row_orders row_strings; mutual_rows generate
+               the row module of the CC
+  kernel       status conditions
+  sequence     orders shape strictly_exact involutive alternating_sum
+               terminated
+  rank         value; adjoint_equal: ad A has the same rank
+  duality      torsion_free extra_count
+  torsion      count; elements {element, annihilator}: the element does
+               not reduce, the annihilator (applied to z0, as in d2(z0))
+               times the element does
+  ext          vanishing generator_rows surviving; generated_by: none lies
+               in the image, and with it they generate what the surviving
+               generators do; torsion_elements as torsion's elements,
+               modulo the image
+  parametrize  certified rank_bound; candidate_rows (over phi): the system
+               annihilates them and generates the row module of their CC;
+               left_inverse o candidate = left_inverse_result
+"""
 
 from __future__ import annotations
 
@@ -8,10 +38,10 @@ import json
 from dataclasses import dataclass, field as dc_field
 from importlib import resources
 
-from .dsl import (elaborate, load_problem, parse_row, parse_system,
-                  read_source)
+from .dsl import (ParseError, elaborate, load_problem, parse_row,
+                  parse_system, read_source)
 from .duality import (double_duality_test, ext_module, kernel_analysis,
-                      parametrize, torsion_submodule)
+                      parametrize, rows_outside, torsion_submodule)
 from .janet import board_of_matrix, complete, count_parametric, janet_board
 from .ops import OpMatrix
 from .syzygy import build_sequence, compatibility_conditions, differential_rank
@@ -40,7 +70,17 @@ class CheckResult:
 def load_case(name, directory=None):
     base = directory or corpus_dir()
     source = read_source(base / f"{name}.dms")
-    fixture = json.loads((base / f"{name}.expected.json").read_text())
+    path = base / f"{name}.expected.json"
+    try:
+        fixture = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ParseError(f"{path} is not JSON: {exc}") from None
+    checks = fixture.get("checks") if isinstance(fixture, dict) else None
+    if not isinstance(checks, list) or not all(
+            isinstance(c, dict) and isinstance(c.get("op"), str)
+            for c in checks):
+        raise ParseError(f'{path} needs a "checks" list of objects, '
+                         'each with a string "op"')
     return source, fixture
 
 
@@ -48,10 +88,45 @@ def _sets(lists):
     return sorted(sorted(x) for x in lists)
 
 
-def _row_module_basis(field, rows, ncols, session, labels):
-    mat = OpMatrix.from_rows(field, [list(r) for r in rows], ncols,
-                             col_labels=labels)
-    return complete(mat, session=session, track_src=False)
+def _rows(field, texts, labels):
+    """The matrix whose rows are read from texts over the given unknowns."""
+    return OpMatrix.from_rows(field, [parse_row(field, t, labels)
+                                      for t in texts],
+                              len(labels), col_labels=labels)
+
+
+def _same_module(ours, given, image, order, session):
+    """Failure details unless the rows of ours and of given generate the
+    same row module modulo the rows of image (None for no image)."""
+    def plus(rows):
+        return rows if image is None else image.stack(rows)
+
+    details = []
+    if rows_outside(ours, plus(given), order, session.copy()):
+        details.append("computed rows escape the given ones")
+    if rows_outside(given, plus(ours), order, session.copy()):
+        details.append("given rows escape the computed ones")
+    return details
+
+
+def _torsion_elements(module, items, order, session):
+    """Failure details unless each claimed {element, annihilator} has an
+    element that does not reduce modulo the rows of module and an
+    annihilator whose product with the element does."""
+    basis = complete(module, order=order, session=session.copy(),
+                     track_src=False)
+    details = []
+    for item in items:
+        row = parse_row(module.field, item["element"], module.col_labels)
+        if basis.contains(row):
+            details.append(
+                f"claimed torsion element reduces: {item['element']}")
+        # annihilator written applied to a placeholder, e.g. d2(z0)
+        ann = parse_row(module.field, item["annihilator"], ["z0"])[0]
+        if not basis.contains([ann * e for e in row]):
+            details.append(
+                f"annihilator identity fails for {item['element']}")
+    return details
 
 
 def run_case(name, directory=None):
@@ -110,18 +185,10 @@ def run_case(name, directory=None):
                          [cc.row_string(i) for i in range(cc.rows)])
                 if not cc.compose(matrix).is_zero:
                     details.append("compose(cc, A) != 0")
-                if "mutual_rows" in expect and cc.rows:
-                    given = [parse_row(field, t, matrix.row_labels)
-                             for t in expect["mutual_rows"]]
-                    ours = [cc.row(i) for i in range(cc.rows)]
-                    b1 = _row_module_basis(field, given, matrix.rows,
-                                           session.copy(), matrix.row_labels)
-                    b2 = _row_module_basis(field, ours, matrix.rows,
-                                           session.copy(), matrix.row_labels)
-                    if not all(b1.contains(r) for r in ours):
-                        details.append("computed CC not generated by given rows")
-                    if not all(b2.contains(r) for r in given):
-                        details.append("given rows not generated by computed CC")
+                if "mutual_rows" in expect:
+                    given = _rows(field, expect["mutual_rows"],
+                                  matrix.row_labels)
+                    details += _same_module(cc, given, None, order, session)
             elif op == "kernel":
                 target = matrix.adjoint() if check.get("adjoint", True) else matrix
                 res = kernel_analysis(target, order=order, session=session)
@@ -154,19 +221,8 @@ def run_case(name, directory=None):
                 need("count", len(certs))
                 if not all(c.verify() for c in certs):
                     details.append("a torsion certificate failed to replay")
-                basis = complete(matrix, order=order, session=session.copy(),
-                                 track_src=False)
-                for item in expect.get("elements", ()):
-                    row = parse_row(field, item["element"], matrix.col_labels)
-                    if basis.contains(row):
-                        details.append(
-                            f"claimed torsion element reduces: {item['element']}")
-                    # annihilator written applied to a placeholder, e.g. d2(z0)
-                    ann = parse_row(field, item["annihilator"], ["z0"])[0]
-                    moved = [ann * e for e in row]
-                    if not basis.contains(moved):
-                        details.append(
-                            f"annihilator identity fails for {item['element']}")
+                details += _torsion_elements(
+                    matrix, expect.get("elements", ()), order, session)
             elif op == "ext":
                 seq = build_sequence(matrix, order=order, session=session)
                 report = ext_module(seq, check["i"], order=order,
@@ -176,73 +232,37 @@ def run_case(name, directory=None):
                 need("surviving", len(report.surviving))
                 if "generated_by" in expect:
                     labels = report.generators.col_labels
-                    width = report.generators.cols
-                    given = [parse_row(field, t, labels)
-                             for t in expect["generated_by"]]
-                    image_rows = ([report.image.row(i)
-                                   for i in range(report.image.rows)]
-                                  if report.image is not None else [])
-                    ours = [m.row(0) for m in report.surviving]
-                    b_img = (_row_module_basis(field, image_rows, width,
-                                               session.copy(), labels)
-                             if image_rows else None)
-                    for g in given:
-                        if b_img is not None and b_img.contains(g):
-                            details.append("given generator lies in the image")
-                    b1 = _row_module_basis(field, image_rows + given, width,
-                                           session.copy(), labels)
-                    if not all(b1.contains(r) for r in ours):
-                        details.append("computed generators escape given ones")
-                    b2 = _row_module_basis(field, image_rows + ours, width,
-                                           session.copy(), labels)
-                    if not all(b2.contains(r) for r in given):
-                        details.append("given generators escape computed ones")
-                for item in expect.get("torsion_elements", ()):
-                    labels = report.generators.col_labels
-                    row = parse_row(field, item["element"], labels)
-                    b_img = _row_module_basis(
-                        field, [report.image.row(i)
-                                for i in range(report.image.rows)],
-                        report.generators.cols, session.copy(), labels)
-                    if b_img.contains(row):
-                        details.append(
-                            f"claimed generator lies in the image: {item['element']}")
-                    ann = parse_row(field, item["annihilator"], ["z0"])[0]
-                    if not b_img.contains([ann * e for e in row]):
-                        details.append(
-                            f"annihilator identity fails: {item['element']}")
+                    given = _rows(field, expect["generated_by"], labels)
+                    ours = OpMatrix.from_rows(
+                        field, [m.row(0) for m in report.surviving],
+                        len(labels), col_labels=labels)
+                    if len(rows_outside(given, report.image, order,
+                                        session.copy())) < given.rows:
+                        details.append("given generator lies in the image")
+                    details += _same_module(ours, given, report.image,
+                                            order, session)
+                if "torsion_elements" in expect:
+                    details += _torsion_elements(
+                        report.image, expect["torsion_elements"], order,
+                        session)
             elif op == "parametrize":
                 res = parametrize(matrix, order=order, session=session)
                 need("certified", res.certified)
                 need("rank_bound", res.minimal_rank_bound)
                 if "candidate_rows" in expect:
-                    cand_rows = [parse_row(field, t, ["phi"])
-                                 for t in expect["candidate_rows"]]
-                    cand = OpMatrix.from_rows(field, cand_rows, 1,
-                                              col_labels=["phi"])
+                    cand = _rows(field, expect["candidate_rows"], ["phi"])
                     if not matrix.compose(cand).is_zero:
                         details.append("candidate is not annihilated by the system")
                     cc_cand = compatibility_conditions(cand, order=order,
                                                        session=session.copy())
-                    bas = complete(matrix, order=order, session=session.copy(),
-                                   track_src=False)
-                    if not bas.contains_matrix(cc_cand):
-                        details.append("candidate CC escape the system rows")
-                    bas_cc = complete(cc_cand, order=order,
-                                      session=session.copy(), track_src=False)
-                    if not bas_cc.contains_matrix(matrix):
-                        details.append("system rows escape the candidate CC")
+                    details += _same_module(cc_cand, matrix, None, order,
+                                            session)
                     if "left_inverse" in expect:
-                        L = OpMatrix.from_rows(
-                            field,
-                            [parse_row(field, expect["left_inverse"],
-                                        matrix.col_labels)],
-                            matrix.cols, col_labels=matrix.col_labels)
-                        got = L.compose(cand)
-                        want = parse_row(field, expect["left_inverse_result"],
-                                          ["phi"])
-                        if not all((a - b).is_zero for a, b in
-                                   zip(got.row(0), want)):
+                        L = _rows(field, [expect["left_inverse"]],
+                                  matrix.col_labels)
+                        if L.compose(cand) != _rows(
+                                field, [expect["left_inverse_result"]],
+                                ["phi"]):
                             details.append("left inverse identity fails")
             else:
                 details.append(f"unknown check op {op!r}")

@@ -8,7 +8,7 @@ the rows that fail to reduce generate the torsion submodule.
 
 The five-step test on D1 is the i = 1 step of ext on the chain
 [ad D1, CC(ad D1)]: its generators are CC(D) and its image is D1, so both
-find the generators outside the image with the same `_outside`.  Each
+find the generators outside the image with the same `rows_outside`.  Each
 torsion certificate is built by `_certificates` and replayed.  The raw
 syzygies of one completion of [row; presentation] generate its syzygy
 module (as `compatibility_conditions` assumes), so their first components
@@ -125,7 +125,7 @@ def double_duality_test(D1, order=None, session=None):
     ad_d = compatibility_conditions(ad1, order=order, session=session)
     D = ad_d.adjoint()
     d1_prime = compatibility_conditions(D, order=order, session=session)
-    extra = _outside(d1_prime, D1, order, session)
+    extra = rows_outside(d1_prime, D1, order, session)
     return DualityResult(
         torsion_free=not extra,
         parametrizing=D,
@@ -168,9 +168,11 @@ def torsion_submodule(presentation, order=None, session=None):
     return _certificates(result.extra_cc, presentation, order, session)
 
 
-def _outside(gens, image, order, session):
+def rows_outside(gens, image, order=None, session=None):
     """The rows of gens, as 1-row matrices, that do not reduce modulo the
     rows of image; an image that is None, empty or zero reduces nothing."""
+    order = order or DEFAULT_ORDER
+    session = session or Session(gens.field)
     rows = [OpMatrix.from_rows(gens.field, [gens.row(k)], gens.cols,
                                col_labels=gens.col_labels)
             for k in range(gens.rows)]
@@ -229,7 +231,7 @@ def ext_module(sequence, i, order=None, session=None):
                                  col_labels=[f"m{k+1}" for k in range(width)])
     if gens.rows and image is not None and gens.cols != image.cols:
         raise DiffmodError("chain shapes do not match")
-    surviving = _outside(gens, image, order, session)
+    surviving = rows_outside(gens, image, order, session)
     torsion = ([] if image is None else
                _certificates(surviving, image, order, session))
     return ExtReport(index=i, generators=gens, image=image,
@@ -252,11 +254,8 @@ def parametrize(D1, order=None, session=None):
         raise NotParametrizable(
             _certificates(result.extra_cc, D1, order, session))
     D = result.parametrizing
-    certified = D1.compose(D).is_zero
-    if D1.rows and not D1.is_zero and result.d1_prime.rows:
-        basis_prime = complete(result.d1_prime, order=order, session=session,
-                               track_src=False)
-        certified = certified and basis_prime.contains_matrix(D1)
+    certified = (D1.compose(D).is_zero
+                 and not rows_outside(D1, result.d1_prime, order, session))
     rank_m = D1.cols - differential_rank(D1, order=order,
                                          session=session)
     return ParametrizationResult(

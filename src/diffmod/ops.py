@@ -454,14 +454,14 @@ class OpMatrix:
 
     # -- display ---------------------------------------------------------------
 
-    def row_string(self, i, order=DEFAULT_ORDER):
+    def row_string(self, i):
         terms = []
         for j in range(self.cols):
             for mu in self.entries[i][j].terms:
                 terms.append((j, mu))
         if not terms:
             return "0"
-        terms.sort(key=order.module_key, reverse=True)
+        terms.sort(key=DEFAULT_ORDER.module_key, reverse=True)
         bits = []
         for j, mu in terms:
             c = self.entries[i][j].terms[mu]

@@ -79,6 +79,54 @@ def test_corpus_rank_check_reports_its_provisos(tmp_path):
     assert result.provisos == ["c - 1"]
 
 
+# One wrong claim each for the membership checks of the corpus runner.
+WRONG_FIXTURES = {
+    "cc-not-generating": ("unexpected_cc_pair", {
+        "op": "cc", "expect": {"mutual_rows": ["d12(u) - u"]}}),
+    "cc-too-large": ("unexpected_cc_pair", {
+        "op": "cc", "expect": {"mutual_rows": ["d12(u) - u - d22(v)", "u"]}}),
+    "torsion-wrong-annihilator": ("contact_flat", {
+        "op": "torsion",
+        "expect": {"elements": [{"element": "xi1", "annihilator": "z0"}]}}),
+    "torsion-element-reduces": ("contact_flat", {
+        "op": "torsion",
+        "expect": {"elements": [{"element": "d2(xi1)",
+                                 "annihilator": "d2(z0)"}]}}),
+    "parametrize-wrong-candidate": ("contact_density", {
+        "op": "parametrize",
+        "expect": {"candidate_rows": ["-x3*d3(phi) + phi", "-d3(phi)",
+                                      "0"]}}),
+    "ext-generator-in-image": ("od_lie_pair", {
+        "op": "ext", "i": 1, "expect": {"generated_by": ["0"]}}),
+}
+
+
+@pytest.mark.parametrize("wrong", WRONG_FIXTURES)
+def test_corpus_runner_rejects_a_wrong_fixture(tmp_path, wrong):
+    name, check = WRONG_FIXTURES[wrong]
+    (tmp_path / f"{name}.dms").write_text(
+        (corpus_dir() / f"{name}.dms").read_text())
+    (tmp_path / f"{name}.expected.json").write_text(
+        json.dumps({"checks": [check]}))
+    [result] = run_case(name, tmp_path)
+    assert not result.passed
+    assert result.details
+
+
+@pytest.mark.parametrize("text", [
+    '{"checks": [', "{}", '{"checks": [{"expect": {}}]}'])
+def test_a_malformed_fixture_is_an_error_not_a_traceback(capsys, tmp_path,
+                                                         text):
+    (tmp_path / "k.dms").write_text(
+        (corpus_dir() / "killing_flat_n2.dms").read_text())
+    fixture = tmp_path / "k.expected.json"
+    fixture.write_text(text)
+    assert cli.main(["corpus", "--dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(fixture) in err
+    assert "Traceback" not in err
+
+
 def test_ext_command_with_assumption(capsys):
     code, report = run_json(capsys, [
         "ext", corpus_path("oneform_area_lie"), "--i", "1",

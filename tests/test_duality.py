@@ -307,6 +307,24 @@ def test_parametrize_zero_presentation():
     assert res.parametrizing == OpMatrix.identity(F, 2)
 
 
+def test_parametrize_is_not_certified_when_cc_of_d_has_no_rows(monkeypatch):
+    """The certificate tests the rows of D1 against CC(D) even when CC(D)
+    comes back without rows: such a CC cannot generate them."""
+    field, matrix, meta = load_corpus_system("contact_density")
+    real = duality.compatibility_conditions
+    calls = []
+
+    def second_empty(A, *args, **kwargs):
+        calls.append(A)
+        if len(calls) == 2:    # CC(D), after CC(ad D1)
+            return OpMatrix.zero(A.field, 0, A.rows)
+        return real(A, *args, **kwargs)
+
+    monkeypatch.setattr(duality, "compatibility_conditions", second_empty)
+    assert not parametrize(matrix).certified
+    assert len(calls) == 2
+
+
 def test_contact_parametrization_higher_dimension():
     """The odd-dimensional contact operator is parametrized by one
     potential with the 1-form itself as a left inverse (n = 5)."""
